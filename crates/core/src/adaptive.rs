@@ -3,48 +3,54 @@
 //!
 //! The paper picks each key's management technique *statically before
 //! training* from dataset statistics and concedes the choice can be wrong
-//! when access patterns shift. This module makes the choice adaptive:
+//! when access patterns shift. This module makes the choice adaptive, with
+//! one migration protocol for every deployment:
 //!
 //! * Workers sample every key access into a lightweight count-min sketch
 //!   ([`nups_sim::metrics::FreqSketch`]) — one relaxed atomic increment per
-//!   row on the hot path.
-//! * At every `adapt_every`-th replica-synchronization rendezvous, the
-//!   last-arriving worker (the *coordinator* — the same rendezvous
-//!   substitution replica sync uses) re-scores all keys against the
-//!   paper's replication-benefit heuristic: promote a relocated key whose
-//!   estimated frequency exceeds `promote_factor ×` the mean, demote a
-//!   replicated key that fell below `demote_factor ×` the mean
-//!   (`demote_factor ≪ promote_factor` gives hysteresis against thrash).
-//! * Migrations execute while **every active worker is parked at the
-//!   gate**, which is what makes the whole scheme deterministic in virtual
-//!   time: the sketch contents at a rendezvous are a pure function of the
-//!   deterministic per-worker access streams, and no worker can race a
-//!   technique flip. Server threads stay live, so the execution must still
-//!   be exact under late-chasing protocol messages — see the promotion
-//!   settle/sweep protocol below.
+//!   row on the hot path. In a per-node deployment each process ships its
+//!   sketch window to the *leader* (node 0) as a [`Msg::SketchReport`]; an
+//!   in-process cluster shares one sketch.
+//! * At every `adapt_every`-th replica-synchronization merge the leader
+//!   re-scores all keys against the paper's replication-benefit heuristic:
+//!   promote a relocated key whose estimated frequency exceeds
+//!   `promote_factor ×` the mean, demote a replicated key that fell below
+//!   `demote_factor ×` the mean (`demote_factor ≪ promote_factor` gives
+//!   hysteresis against thrash).
+//! * The leader assigns replica slots by simulating its own free list
+//!   ([`crate::technique::TechniqueMap::plan_slots`]) and posts a
+//!   versioned [`Msg::AdaptPlan`] to every node's server, itself included.
+//!   Each server applies plans in epoch order to its own node's technique
+//!   map and replica set: demotions seal the replica slot, install the
+//!   sealed value at the key's home and ship every other node's unsynced
+//!   residue there; promotions fence the key at its home, acquire the
+//!   value through the relocation machinery, install the replica and
+//!   broadcast a [`Msg::Promote`] that the peers install on receipt. A node
+//!   acks the plan with a [`Msg::PlanAck`] once nothing of it is still in
+//!   flight locally.
+//! * The leader issues a new plan only after every node acked the previous
+//!   one. When every worker of the cluster is parked at the leader's gate
+//!   (`Deployment::AllInProcess`), the leader additionally waits out
+//!   in-flight relocations of the keys it promotes before posting the plan
+//!   and holds the gate until every node acked it. No worker can then race
+//!   a technique flip and the sketch contents at a merge are a pure
+//!   function of the per-worker access streams, which keeps adaptive runs
+//!   deterministic in virtual time. A per-node leader's gate parks only
+//!   its own workers, so it posts the plan and lets the servers migrate
+//!   while the cluster runs.
 //!
-//! **Promotion** (relocated → replicated): follow the home directory to
-//! the current owner, waiting out any in-flight relocation chain; convert
-//! the owner's entry into a [`Promoted`](crate::store) tombstone (taking
-//! the authoritative value under the shard latch, so a concurrent server
-//! push lands either in the taken value or — after the take — in the
-//! replica update buffer, exactly once); sweep stale in-flight marks whose
-//! localize requests the home server's migration guard dropped; install
-//! the value into every node's replica set. Priced as the owner
-//! broadcasting one [`Msg::Promote`] to each peer.
-//!
-//! **Demotion** (replicated → relocated): collapse the replica slot into a
-//! single value (the synced state plus any unsynced per-node deltas — the
-//! "final delta all-reduce"), install it at the elected owner (the key's
-//! home node), redirect leftover tombstones, reset the home directory, and
-//! free the slot for reuse. Priced as one final all-reduce round over the
-//! demoted slots plus one small [`Msg::Demote`] notice per peer.
+//! The leader prices every plan it issues: one broadcast of a
+//! [`Msg::Promote`] per promotion, one broadcast of a small demotion notice
+//! ([`Msg::demote_len`]) per demotion, and one final all-reduce round over
+//! the demoted values. The gate folds that duration into the merge time
+//! (slipping the next boundary and raising the congestion multiplier —
+//! migration traffic competes like sync traffic does).
 
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Mutex, MutexGuard};
-use rustc_hash::{FxHashMap, FxHashSet};
+use parking_lot::Mutex;
+use rustc_hash::FxHashMap;
 
 use nups_sim::cost::WIRE_HEADER_BYTES;
 use nups_sim::metrics::FreqSketch;
@@ -57,18 +63,16 @@ use nups_sim::WireEncode;
 use crate::key::Key;
 use crate::messages::Msg;
 use crate::node::Shared;
-use crate::store::{PromoteTake, QueuedOp};
-use crate::value::add_assign;
+use crate::system::Deployment;
+use crate::technique::TechniqueMap;
 
-/// Keys paired with their sketch-estimated frequency, scoring order.
-type ScoredKeys = Vec<(u64, Key)>;
-
-/// The node that runs adaptation rounds in per-node deployments.
+/// The node whose plan state issues adaptation plans and collects acks.
 pub const ADAPT_LEADER: NodeId = NodeId(0);
 
-/// How long migration control loops wait for relocation traffic to drain
-/// before declaring the protocol wedged. Generous: the pending chains are
-/// finite and served by live server threads in microseconds.
+/// How long the in-process leader waits for relocation traffic to drain
+/// and for every node to ack its plan before declaring the protocol
+/// wedged. Generous: the pending chains are finite and served by live
+/// server threads in microseconds.
 const MIGRATION_SETTLE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// Tuning knobs for the adaptive technique manager.
@@ -110,7 +114,7 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// The online hot-key detector plus migration coordinator.
+/// The online hot-key detector plus the leader's plan issuer.
 pub struct AdaptiveManager {
     cfg: AdaptiveConfig,
     sketch: FreqSketch,
@@ -138,43 +142,39 @@ impl AdaptiveManager {
         &self.sketch
     }
 
-    /// Called by the synchronization merge (all active workers parked).
-    /// Every `adapt_every`-th merge runs an adaptation round; returns the
-    /// modelled duration of any migrations, which the gate folds into the
-    /// merge time (slipping the next boundary, raising the congestion
-    /// multiplier — migration traffic competes like sync traffic does).
-    ///
-    /// Per-node deployments take the distributed branch instead: peers ship
-    /// their sketch window to the leader, the leader scores from the merged
-    /// view and broadcasts a plan; the plan's migrations execute on the
-    /// server threads, never under this gate.
+    /// Called by the synchronization merge. Every `adapt_every`-th merge
+    /// runs an adaptation round: a per-node peer ships its sketch window to
+    /// the leader, the leader issues a plan. Returns the plan's modelled
+    /// migration time, which the gate folds into the merge time.
     pub fn maybe_adapt(&self, shared: &Shared) -> SimDuration {
         let n = self.merges.fetch_add(1, Ordering::Relaxed) + 1;
         if !n.is_multiple_of(self.cfg.adapt_every.max(1)) {
             return SimDuration::ZERO;
         }
-        if let Some(dist) = &shared.dist_adaptive {
-            self.adapt_distributed(shared, dist);
-            return SimDuration::ZERO;
+        match shared.deployment {
+            Deployment::SingleNode(me) if me != ADAPT_LEADER => {
+                self.report_sketch(shared, me);
+                SimDuration::ZERO
+            }
+            _ => self.lead_round(shared),
         }
-        self.adapt(shared)
     }
 
     /// Score all keys against the merged sketch: hottest promotions first,
     /// coldest demotions first, ties broken by key, both truncated to the
     /// configured per-round and capacity bounds. Deterministic in the
-    /// sketch contents and the current technique map.
-    fn score(&self, shared: &Shared) -> (ScoredKeys, ScoredKeys) {
+    /// sketch contents and the leader's technique map.
+    fn score(&self, technique: &TechniqueMap) -> (Vec<Key>, Vec<Key>) {
         let total = self.sketch.total();
         if total == 0 {
             return (Vec::new(), Vec::new());
         }
-        let n_keys = shared.keyspace.n_keys();
+        let n_keys = technique.n_keys();
         let mean = total as f64 / n_keys as f64;
         let promote_thr = (self.cfg.promote_factor * mean).max(1.0);
         let demote_thr = self.cfg.demote_factor * mean;
 
-        let replicated = shared.technique.replicated_flags();
+        let replicated = technique.replicated_flags();
         let mut promos: Vec<(u64, Key)> = Vec::new();
         let mut demos: Vec<(u64, Key)> = Vec::new();
         for key in 0..n_keys {
@@ -190,52 +190,63 @@ impl AdaptiveManager {
         promos.sort_by_key(|&(est, key)| (Reverse(est), key));
         demos.sort_by_key(|&(est, key)| (est, key));
         demos.truncate(self.cfg.max_migrations_per_round);
-        let slots_after_demote = shared.technique.n_replicated().saturating_sub(demos.len());
+        let slots_after_demote = technique.n_replicated().saturating_sub(demos.len());
         let capacity = self.cfg.max_replicated.saturating_sub(slots_after_demote);
         promos.truncate(self.cfg.max_migrations_per_round.min(capacity));
-        (promos, demos)
+        let keys = |scored: Vec<(u64, Key)>| scored.into_iter().map(|(_, k)| k).collect();
+        (keys(promos), keys(demos))
     }
 
-    /// One distributed adaptation round at a due merge. Peers ship their
-    /// sketch window to the leader; the leader scores and broadcasts a
-    /// versioned plan — but only once the previous plan fully settled
-    /// locally, so its technique map (and thus the slot assignment it
-    /// simulates) reflects every migration it has ever issued.
-    fn adapt_distributed(&self, shared: &Shared, dist: &DistAdaptive) {
-        let boundary = shared.gate.merge_boundary();
-        if dist.me != ADAPT_LEADER {
-            let (rows, total) = self.sketch.drain_sparse();
-            if total == 0 {
-                return;
-            }
-            let [row0, row1] = rows;
-            let report = Msg::SketchReport { from: dist.me, total, row0, row1 };
-            post_server(shared, dist.me, ADAPT_LEADER, boundary, &report);
+    /// A per-node peer's share of a round: ship the sketch window.
+    fn report_sketch(&self, shared: &Shared, me: NodeId) {
+        let (rows, total) = self.sketch.drain_sparse();
+        if total == 0 {
             return;
         }
-        let issued = dist.last_issued();
-        if !dist.quiesced(issued) || !dist.all_acked(issued) {
-            // The previous plan is still migrating somewhere in the
-            // cluster; a new plan could then demote a key whose promotion
-            // a lagging peer has not even installed, and the leader's
-            // technique map would mis-assign slots. Skip the round — the
-            // sketch keeps accumulating, and serializing rounds cluster-
-            // wide keeps at most one plan's traffic in flight.
-            return;
+        let [row0, row1] = rows;
+        let report = Msg::SketchReport { from: me, total, row0, row1 };
+        post_server(shared, me, ADAPT_LEADER, shared.gate.merge_boundary(), &report);
+    }
+
+    /// One adaptation round at the leader: score, then post a versioned
+    /// plan to every node — but only once every node acked the previous
+    /// plan, so the leader's technique map (and thus the slot assignment it
+    /// simulates) reflects every migration it has ever issued, and at most
+    /// one plan's traffic is in flight. When the gate parks every worker of
+    /// the cluster, the round also holds the gate until the plan is acked.
+    fn lead_round(&self, shared: &Shared) -> SimDuration {
+        let leader = &shared.nodes[ADAPT_LEADER.index()];
+        let ready = {
+            let st = leader.plan.lock();
+            st.quiesced(st.last_issued) && st.all_acked(st.last_issued)
+        };
+        if !ready {
+            // Only reachable per-node: the sketch keeps accumulating.
+            return SimDuration::ZERO;
         }
         shared.metrics.node(ADAPT_LEADER).inc(|m| &m.adaptation_rounds);
-        let (promos, demos) = self.score(shared);
-        if promos.is_empty() && demos.is_empty() {
+        let (promo_keys, demotions) = self.score(&leader.technique);
+        if promo_keys.is_empty() && demotions.is_empty() {
             if self.cfg.decay {
                 self.sketch.decay();
             }
-            return;
+            return SimDuration::ZERO;
         }
-        let demo_keys: Vec<Key> = demos.iter().map(|&(_, k)| k).collect();
-        let promo_keys: Vec<Key> = promos.iter().map(|&(_, k)| k).collect();
-        let promotions = shared.technique.plan_slots(&demo_keys, &promo_keys);
-        let epoch = dist.state().issue_plan();
-        let n_migrations = (promotions.len() + demo_keys.len()) as u64;
+        let hold_gate = shared.deployment == Deployment::AllInProcess;
+        if hold_gate {
+            // Determinism requires that an already-issued localize is
+            // *always* honored before the promotion fence goes up, never
+            // raced: whether the home server had drained it first is a
+            // real-time accident. Every worker is parked, so no new
+            // relocation mark can appear once the last one clears.
+            settle_or_abort(shared, "relocation traffic failed to quiesce", &mut || {
+                !promo_keys.iter().any(|&k| shared.nodes.iter().any(|n| n.store.is_inflight(k)))
+            });
+        }
+        let promotions = leader.technique.plan_slots(&demotions, &promo_keys);
+        let epoch = leader.plan.lock().issue_plan();
+        let boundary = shared.gate.merge_boundary();
+        let n_migrations = (promotions.len() + demotions.len()) as u64;
         shared.obs.event(
             boundary,
             ADAPT_LEADER.0,
@@ -244,62 +255,18 @@ impl AdaptiveManager {
             epoch,
             n_migrations,
         );
-        let plan = Msg::AdaptPlan { epoch, promotions, demotions: demo_keys };
+        let duration = price_plan(shared, &promotions, &demotions);
+        let plan = Msg::AdaptPlan { epoch, promotions, demotions };
         for node in shared.topology.nodes() {
             // Including the leader itself: applying the plan on the server
             // loop serializes it with every other protocol message.
             post_server(shared, ADAPT_LEADER, node, boundary, &plan);
         }
-        if self.cfg.decay {
-            self.sketch.decay();
+        if hold_gate {
+            settle_or_abort(shared, "an adaptation plan was not acked by every node", &mut || {
+                leader.plan.lock().all_acked(epoch)
+            });
         }
-    }
-
-    /// Score all keys and execute the chosen migrations.
-    fn adapt(&self, shared: &Shared) -> SimDuration {
-        shared.metrics.node(NodeId(0)).inc(|m| &m.adaptation_rounds);
-        let (promos, demos) = self.score(shared);
-        if promos.is_empty() && demos.is_empty() {
-            if self.cfg.decay {
-                self.sketch.decay();
-            }
-            return SimDuration::ZERO;
-        }
-
-        let boundary = shared.gate.merge_boundary();
-        shared.obs.event(
-            boundary,
-            NodeId(0).0,
-            actor::SYNC,
-            "adapt_round",
-            promos.len() as u64,
-            demos.len() as u64,
-        );
-        let mut duration = SimDuration::ZERO;
-        // Demotions first: they free replica slots promotions can reuse.
-        if !demos.is_empty() {
-            duration += demote_keys(shared, &demos, boundary);
-        }
-        let promo_keys: Vec<Key> = promos.iter().map(|&(_, k)| k).collect();
-        if !promo_keys.is_empty() {
-            // Determinism requires that an already-issued localize is
-            // *always* honored before the flip, never raced: whether the
-            // home server had drained it when the guard went up is a
-            // real-time accident. Waiting for relocation quiescence first
-            // makes every pending chain complete in both runs; only then
-            // does the guard go up (pure defense — nothing is left for it
-            // to drop in any reachable schedule).
-            wait_relocation_quiescence(shared, &promo_keys);
-            shared.technique.begin_migrations(&promo_keys);
-            for &key in &promo_keys {
-                duration += promote_key(shared, key, boundary);
-            }
-            shared.technique.end_migrations();
-        }
-        shared.technique.bump_epoch();
-        // Demotions installed store entries and promotions redirected
-        // chains: wake any parked evaluation reads to re-check.
-        shared.runtime.notify_progress();
         if self.cfg.decay {
             self.sketch.decay();
         }
@@ -317,37 +284,69 @@ fn post_server(shared: &Shared, src: NodeId, dst: NodeId, sent_at: SimTime, msg:
     });
 }
 
-/// Per-node state of the distributed adaptation protocol.
-///
-/// In per-node deployments migrations cannot run under the sync gate — the
-/// gate only parks *this* node's workers. Instead the leader broadcasts a
-/// versioned [`Msg::AdaptPlan`] and every node's server thread applies it
-/// in plan order, fencing migrating keys so late-chasing traffic takes the
-/// tombstone paths. This struct tracks where each node stands in that
-/// pipeline; all transitions happen on the server thread (or, for
-/// [`issue_plan`](DistState::issue_plan), under the leader's gate merge),
-/// serialized by the mutex.
-pub struct DistAdaptive {
-    me: NodeId,
-    state: Mutex<DistState>,
+/// Price one plan and record its migration traffic: the key's home
+/// broadcasts a [`Msg::Promote`] per promotion and a demotion notice per
+/// demotion to every peer, and one final all-reduce round carries the
+/// demoted values' last deltas.
+fn price_plan(shared: &Shared, promotions: &[(Key, u32)], demotions: &[Key]) -> SimDuration {
+    let peers = shared.topology.n_nodes - 1;
+    let pricing = shared.runtime.pricing();
+    let mut duration = SimDuration::ZERO;
+    let mut count = |key: Key, payload: usize| {
+        let m = shared.metrics.node(shared.keyspace.home(key));
+        m.add(|m| &m.migration_msgs, peers as u64);
+        m.add(|m| &m.migration_bytes, (peers as usize * (payload + WIRE_HEADER_BYTES)) as u64);
+        duration += pricing.broadcast(peers, payload);
+    };
+    for &key in demotions {
+        count(key, Msg::demote_len());
+    }
+    for &(key, _) in promotions {
+        count(key, Msg::promote_len(shared.value_len));
+    }
+    if !demotions.is_empty() {
+        let bytes = demotions.len() * shared.value_bytes();
+        duration += pricing.allreduce(shared.topology.sync_rounds(), bytes);
+    }
+    duration
 }
 
+/// Park the gate merge until `done` holds. The awaited work is finite and
+/// served by live server threads in real time (each step wakes us via the
+/// runtime's progress notification). A panic here would unwind inside the
+/// gate merge and leave every other worker parked forever (parking_lot
+/// does not poison), so a wedged protocol fails the process fast instead.
+fn settle_or_abort(shared: &Shared, what: &str, done: &mut dyn FnMut() -> bool) {
+    if !shared.runtime.wait_until(MIGRATION_SETTLE_TIMEOUT, done) {
+        eprintln!("fatal: {what}");
+        std::process::abort();
+    }
+}
+
+/// One node's position in the adaptation plan stream.
+///
+/// Every node applies the leader's [`Msg::AdaptPlan`]s in plan order on its
+/// server thread, fencing migrating keys so late-chasing traffic takes the
+/// tombstone paths. This struct tracks where the node stands in that
+/// pipeline; all transitions happen on the node's server thread (or, for
+/// [`PlanProgress::issue_plan`], in the leader's gate merge), serialized by
+/// the mutex.
+pub type PlanState = Mutex<PlanProgress>;
+
 #[derive(Default)]
-pub(crate) struct DistState {
-    /// Leader only: epoch of the most recently broadcast plan.
+pub struct PlanProgress {
+    /// Leader only: epoch of the most recently issued plan.
     pub(crate) last_issued: u64,
-    /// Epoch of the last plan this node finished *dispatching* (demotions
-    /// applied, promotions initiated or deferred).
+    /// Epoch of the last plan this node applied (demotions executed,
+    /// promotions initiated or awaiting their value): the number of
+    /// adaptation rounds that migrated at least one key.
     pub(crate) applied_epoch: u64,
     /// Keys whose promotion is in flight: key → (plan epoch, target slot).
     pub(crate) pending_promote: FxHashMap<Key, (u64, u32)>,
-    /// Demotions from a later plan that arrived while the key's own
-    /// promotion (from an earlier plan) was still in flight.
-    pub(crate) deferred_demotes: FxHashSet<Key>,
-    /// `Msg::Promote` installs that arrived before their plan (same-port
-    /// FIFO makes this leader-side impossible, but a peer's Promote
-    /// broadcast can overtake the leader's plan broadcast).
-    pub(crate) buffered_promotes: Vec<(u64, Key, u32, Vec<f32>)>,
+    /// `Msg::Promote` installs for the next plan that arrived before it
+    /// (a peer's Promote broadcast can overtake the leader's plan
+    /// broadcast): `(key, epoch, slot, value)`.
+    pub(crate) buffered_promotes: Vec<(Key, u64, u32, Vec<f32>)>,
     /// Sync-broadcast deltas for keys whose promotion is pending here: the
     /// sender already installed the replica, we have not. Applied right
     /// after the install so this node's base copy converges with the
@@ -358,9 +357,9 @@ pub(crate) struct DistState {
     /// too would double-count it in the re-promoted replica.
     pub(crate) pending_deltas: FxHashMap<Key, Vec<Vec<f32>>>,
     /// Sync-broadcast deltas whose plan has not arrived here yet: the
-    /// sender applied a later [`Msg::AdaptPlan`] (its stamp exceeds our
-    /// `applied_epoch`) and its broadcast overtook the leader's plan on a
-    /// different link. Re-dispatched, in order, as each plan applies —
+    /// sender applied the next [`Msg::AdaptPlan`] (its stamp is one past
+    /// our `applied_epoch`) and its broadcast overtook the leader's plan on
+    /// a different link. Re-dispatched, in order, when the plan applies —
     /// dropping them instead would lose the delta whenever this node is
     /// the coordinator (its replica copy is what finalize reads).
     pub(crate) early_deltas: Vec<(u64, Key, Vec<f32>)>,
@@ -373,7 +372,11 @@ pub(crate) struct DistState {
     pub(crate) peer_acked: Vec<u64>,
 }
 
-impl DistState {
+impl PlanProgress {
+    pub fn new(n_nodes: u16) -> PlanProgress {
+        PlanProgress { peer_acked: vec![0; n_nodes as usize], ..PlanProgress::default() }
+    }
+
     /// Leader: mint the next plan epoch.
     pub(crate) fn issue_plan(&mut self) -> u64 {
         self.last_issued += 1;
@@ -383,186 +386,25 @@ impl DistState {
     /// No migration work from any applied plan is still in flight locally.
     pub(crate) fn settled(&self) -> bool {
         self.pending_promote.is_empty()
-            && self.deferred_demotes.is_empty()
             && self.buffered_promotes.is_empty()
             && self.pending_deltas.is_empty()
             && self.early_deltas.is_empty()
             && self.acks_outstanding == 0
     }
-}
-
-impl DistAdaptive {
-    pub fn new(me: NodeId, n_nodes: u16) -> DistAdaptive {
-        let state = DistState { peer_acked: vec![0; n_nodes as usize], ..DistState::default() };
-        DistAdaptive { me, state: Mutex::new(state) }
-    }
-
-    pub fn me(&self) -> NodeId {
-        self.me
-    }
-
-    pub(crate) fn state(&self) -> MutexGuard<'_, DistState> {
-        self.state.lock()
-    }
 
     /// Has this node fully applied every plan up to and including `epoch`?
-    pub fn quiesced(&self, epoch: u64) -> bool {
-        let st = self.state.lock();
-        st.applied_epoch >= epoch && st.settled()
-    }
-
-    /// Leader: epoch of the most recently issued plan.
-    pub fn last_issued(&self) -> u64 {
-        self.state.lock().last_issued
+    pub(crate) fn quiesced(&self, epoch: u64) -> bool {
+        self.applied_epoch >= epoch && self.settled()
     }
 
     /// Leader: record a [`Msg::PlanAck`] (or the leader's own local ack).
-    pub(crate) fn note_ack(&self, from: NodeId, epoch: u64) {
-        let mut st = self.state.lock();
-        let slot = &mut st.peer_acked[from.index()];
+    pub(crate) fn note_ack(&mut self, from: NodeId, epoch: u64) {
+        let slot = &mut self.peer_acked[from.index()];
         *slot = (*slot).max(epoch);
     }
 
     /// Leader: has every node acked plan `epoch`?
-    pub fn all_acked(&self, epoch: u64) -> bool {
-        self.state.lock().peer_acked.iter().all(|&e| e >= epoch)
+    pub(crate) fn all_acked(&self, epoch: u64) -> bool {
+        self.peer_acked.iter().all(|&e| e >= epoch)
     }
-}
-
-/// Park until no node holds an in-flight relocation mark for any of
-/// `keys`. A mark exists from the instant a worker issues a localize
-/// until the transfer installs, and every worker is parked, so the set of
-/// pending chains is fixed and finite; the server threads drain each one
-/// in bounded real time (each install wakes us via the runtime's progress
-/// notification), and no new mark can appear after the last one clears.
-fn wait_relocation_quiescence(shared: &Shared, keys: &[Key]) {
-    let quiesced = shared.runtime.wait_until(MIGRATION_SETTLE_TIMEOUT, &mut || {
-        !keys.iter().any(|&k| shared.nodes.iter().any(|n| n.store.is_inflight(k)))
-    });
-    if !quiesced {
-        // See the settle-loop comment in `promote_key`: a panic here would
-        // wedge the parked workers, so fail the process fast instead.
-        eprintln!("fatal: relocation traffic failed to quiesce before promotion");
-        std::process::abort();
-    }
-}
-
-/// Record `peers` priced migration messages of `payload` bytes each.
-fn count_migration_msgs(shared: &Shared, node: NodeId, peers: u16, payload: usize) {
-    let m = shared.metrics.node(node);
-    m.add(|m| &m.migration_msgs, peers as u64);
-    m.add(|m| &m.migration_bytes, (peers as usize * (payload + WIRE_HEADER_BYTES)) as u64);
-}
-
-/// Migrate one key relocated → replicated. Runs on the coordinator while
-/// all active workers are parked; see the module docs for the settle/sweep
-/// protocol and its race arguments.
-fn promote_key(shared: &Shared, key: Key, boundary: SimTime) -> SimDuration {
-    let home = shared.keyspace.home(key);
-    let home_state = &shared.nodes[home.index()];
-    // Settle: relocation chains for this key are finite (the migration
-    // guard blocks new ones) and every chain is visible through the home
-    // directory, so following the directory until the take succeeds
-    // terminates. Server threads keep draining the chain in real time and
-    // every install wakes this parked wait to retry the take.
-    let mut taken: Option<(NodeId, Vec<f32>)> = None;
-    let settled = shared.runtime.wait_until(MIGRATION_SETTLE_TIMEOUT, &mut || {
-        let owner = home_state.directory.owner(key);
-        match shared.nodes[owner.index()].store.begin_promote(key) {
-            PromoteTake::Taken(v) => {
-                taken = Some((owner, v));
-                true
-            }
-            PromoteTake::InFlight | PromoteTake::NotHere(_) => false,
-        }
-    });
-    let Some(mut value) = (if settled { taken } else { None }) else {
-        // A panic here would unwind inside the gate merge and leave every
-        // other worker parked forever (parking_lot does not poison), so a
-        // settle failure — unreachable unless the relocation protocol
-        // regresses — fails the whole process fast instead of wedging it.
-        eprintln!("fatal: relocation chain for key {key} failed to settle for promotion");
-        std::process::abort();
-    };
-    let (owner, value) = (value.0, &mut value.1);
-
-    // Sweep stale in-flight marks on every other node (their localize
-    // requests were — or will be — dropped by the migration guard). Any
-    // parked operations fold into the taken value exactly once; replies go
-    // out as real messages from that node's server address.
-    for node in &shared.nodes {
-        if node.node == owner {
-            continue;
-        }
-        let sweep = node.store.sweep_for_promote(key);
-        for op in sweep.waiters {
-            let (msg, reply_to) = match op {
-                QueuedOp::Push { delta, reply_to, hops } => {
-                    add_assign(value, &delta);
-                    (Msg::PushAck { key, hops: hops.saturating_add(1) }, reply_to)
-                }
-                QueuedOp::Pull { reply_to, hops } => (
-                    Msg::PullResp { key, value: value.clone(), hops: hops.saturating_add(1) },
-                    reply_to,
-                ),
-            };
-            shared.fabric.post(Frame {
-                src: Addr::server(node.node),
-                dst: reply_to,
-                sent_at: boundary,
-                payload: msg.to_bytes(),
-            });
-        }
-    }
-
-    // Install the replica storage on every node first, publish the slot
-    // second: a reader that sees the new assignment is then guaranteed
-    // backing storage (no reachable schedule reads in between — a
-    // worker-synchronous request outstanding during the round would mean
-    // its sender never reached the rendezvous — but the order costs
-    // nothing and removes the window outright).
-    let slot = shared.technique.next_slot();
-    shared.sync.install_slot(slot, key, value);
-    let assigned = shared.technique.promote(key);
-    debug_assert_eq!(assigned, slot, "peeked slot must match the promoted slot");
-    shared.obs.event(boundary, home.0, actor::SYNC, "promote", key, slot as u64);
-
-    // Price: the owner broadcasts the value to every peer.
-    let peers = shared.topology.n_nodes - 1;
-    let payload = Msg::Promote { key, epoch: 0, slot, value: std::mem::take(value) }.encoded_len();
-    shared.metrics.node(owner).inc(|m| &m.promotions);
-    count_migration_msgs(shared, owner, peers, payload);
-    shared.runtime.pricing().broadcast(peers, payload)
-}
-
-/// Migrate `demos` replicated → relocated: final delta all-reduce per
-/// slot, owner election (the home node), slot release.
-fn demote_keys(shared: &Shared, demos: &[(u64, Key)], boundary: SimTime) -> SimDuration {
-    let peers = shared.topology.n_nodes - 1;
-    let mut duration = SimDuration::ZERO;
-    let mut allreduce_bytes = 0usize;
-    for &(_, key) in demos {
-        let slot = shared.technique.replica_slot(key).expect("demoted key has a slot");
-        let value = shared.sync.collapse_slot(slot);
-        allreduce_bytes += 4 + 4 * value.len();
-        let owner = shared.keyspace.home(key);
-        shared.nodes[owner.index()].store.install_demoted(key, value, boundary);
-        for node in &shared.nodes {
-            if node.node != owner {
-                node.store.redirect_for_demote(key, owner);
-            }
-        }
-        // The home *is* the elected owner; this also clears any direction
-        // left over from the key's pre-promotion relocation history.
-        shared.nodes[owner.index()].directory.set_owner(key, owner);
-        shared.technique.demote(key);
-        shared.obs.event(boundary, owner.0, actor::SYNC, "demote", key, slot as u64);
-
-        let payload = Msg::Demote { key, owner }.encoded_len();
-        shared.metrics.node(owner).inc(|m| &m.demotions);
-        count_migration_msgs(shared, owner, peers, payload);
-        duration += shared.runtime.pricing().broadcast(peers, payload);
-    }
-    // One final all-reduce round carrying the demoted slots' last deltas.
-    duration + shared.runtime.pricing().allreduce(shared.topology.sync_rounds(), allreduce_bytes)
 }

@@ -66,19 +66,12 @@ pub enum Msg {
     /// `keys` (each homed there) in one message.
     LocalizeBatchReq { keys: Vec<Key>, requester: NodeId },
 
-    /// Technique migration, relocated → replicated: the owning node
-    /// broadcasts the parameter's current value so every node can install
-    /// a replica in `slot`. In-process deployments execute this at the
-    /// synchronization rendezvous (priced as `n - 1` of these on the
-    /// wire); per-node deployments send it for real, stamped with the
-    /// [`Msg::AdaptPlan`] epoch it completes so receivers can order it
-    /// against the plan stream.
+    /// Technique migration, relocated → replicated: the key's home, having
+    /// acquired the parameter's current value, broadcasts it so every peer
+    /// can install a replica in `slot`. Stamped with the [`Msg::AdaptPlan`]
+    /// epoch it completes so receivers can order it against the plan
+    /// stream.
     Promote { key: Key, epoch: u64, slot: u32, value: Vec<f32> },
-    /// Technique migration, replicated → relocated: after the final delta
-    /// all-reduce the coordinator announces the elected owner; replicas
-    /// free their slot (the value is already everywhere, so the notice is
-    /// small). Priced as `n - 1` of these.
-    Demote { key: Key, owner: NodeId },
 
     /// Distributed replica synchronization (per-node deployments, where
     /// the in-process all-reduce is impossible): node `from` broadcasts
@@ -185,7 +178,6 @@ mod tag {
     pub const PUSH_BATCH_ACK: u8 = 17;
     pub const LOCALIZE_BATCH_REQ: u8 = 18;
     pub const PROMOTE: u8 = 19;
-    pub const DEMOTE: u8 = 20;
     pub const REPLICA_DELTAS: u8 = 21;
     pub const SYNC_FIN: u8 = 22;
     pub const MODEL_PART: u8 = 23;
@@ -246,6 +238,18 @@ impl Msg {
     /// `value_len` floats each.
     pub fn push_batch_req_len(n_keys: usize, value_len: usize) -> usize {
         1 + 4 + n_keys * (8 + f32_slice_len_for(value_len)) + ADDR_LEN + 1
+    }
+
+    /// Encoded size of a [`Msg::Promote`] carrying one `value_len` value.
+    pub fn promote_len(value_len: usize) -> usize {
+        1 + 8 + 8 + 4 + f32_slice_len_for(value_len)
+    }
+
+    /// Encoded size of a demotion notice (tag, key, elected owner): the
+    /// leader prices each demotion as one broadcast of it. The plan
+    /// itself carries demotions, so the notice never crosses the wire.
+    pub fn demote_len() -> usize {
+        1 + 8 + 2
     }
 }
 
@@ -340,7 +344,6 @@ impl WireEncode for Msg {
             Msg::PushBatchAck { keys, .. } => codec::u64_slice_len(keys) + 1,
             Msg::LocalizeBatchReq { keys, .. } => codec::u64_slice_len(keys) + 2,
             Msg::Promote { value, .. } => 8 + 8 + 4 + f32_slice_len(value),
-            Msg::Demote { .. } => 8 + 2,
             Msg::ReplicaDeltas { updates, .. } => 2 + 8 + updates_len(updates),
             Msg::SyncFin { .. } => 2,
             Msg::FinFence { .. } => 2,
@@ -456,11 +459,6 @@ impl WireEncode for Msg {
                 buf.put_u32_le(*slot);
                 put_f32_slice(buf, value);
             }
-            Msg::Demote { key, owner } => {
-                buf.put_u8(tag::DEMOTE);
-                buf.put_u64_le(*key);
-                buf.put_u16_le(owner.0);
-            }
             Msg::ReplicaDeltas { from, epoch, updates } => {
                 buf.put_u8(tag::REPLICA_DELTAS);
                 buf.put_u16_le(from.0);
@@ -564,7 +562,6 @@ impl WireEncode for Msg {
                 slot: codec::get_u32(buf)?,
                 value: get_f32_vec(buf)?,
             },
-            tag::DEMOTE => Msg::Demote { key: get_u64(buf)?, owner: NodeId(get_u16(buf)?) },
             tag::REPLICA_DELTAS => Msg::ReplicaDeltas {
                 from: NodeId(get_u16(buf)?),
                 epoch: get_u64(buf)?,
@@ -646,7 +643,6 @@ mod tests {
         roundtrip(Msg::LocalizeBatchReq { keys: vec![3, 4, 5], requester: NodeId(2) });
         roundtrip(Msg::Promote { key: 11, epoch: 4, slot: 3, value: vec![1.5, -0.5] });
         roundtrip(Msg::Promote { key: 0, epoch: 0, slot: 0, value: vec![] });
-        roundtrip(Msg::Demote { key: 11, owner: NodeId(4) });
         roundtrip(Msg::ReplicaDeltas {
             from: NodeId(2),
             epoch: 5,
@@ -689,9 +685,9 @@ mod tests {
         // cost accounting depends on.
         let promote = Msg::Promote { key: 1, epoch: 2, slot: 0, value: vec![0.0; 100] };
         assert_eq!(promote.encoded_len(), 1 + 8 + 8 + 4 + 4 + 400);
-        let demote = Msg::Demote { key: 1, owner: NodeId(0) };
-        assert_eq!(demote.encoded_len(), 1 + 8 + 2);
-        assert!(demote.encoded_len() * 10 < promote.encoded_len());
+        assert_eq!(Msg::promote_len(100), promote.encoded_len());
+        assert_eq!(Msg::demote_len(), 1 + 8 + 2);
+        assert!(Msg::demote_len() * 10 < promote.encoded_len());
     }
 
     #[test]

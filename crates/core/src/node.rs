@@ -9,7 +9,7 @@ use nups_sim::time::SimDuration;
 use nups_sim::topology::{NodeId, Topology};
 use nups_sim::trace::{actor, Observability};
 
-use crate::adaptive::{AdaptiveManager, DistAdaptive};
+use crate::adaptive::{AdaptiveManager, PlanState};
 use crate::key::{Key, KeySpace};
 use crate::replication::{ReplicaSet, ReplicaSync};
 use crate::runtime::{Fabric, Runtime};
@@ -17,6 +17,7 @@ use crate::sampling::scheme::SamplingScheme;
 use crate::sampling::Distribution;
 use crate::store::Store;
 use crate::syncgate::SyncGate;
+use crate::system::Deployment;
 use crate::technique::TechniqueMap;
 
 /// The location directory a home node keeps for its key range: current
@@ -49,6 +50,13 @@ pub struct NodeState {
     pub node: NodeId,
     pub store: Store,
     pub directory: Directory,
+    /// This node's key → technique assignment. Workers and the server of
+    /// this node route through it; only the server thread mutates it, as
+    /// it applies adaptation plans.
+    pub technique: TechniqueMap,
+    /// This node's position in the adaptation plan stream (see
+    /// [`crate::adaptive::PlanProgress`]).
+    pub plan: PlanState,
     pub replicas: Arc<ReplicaSet>,
     /// Virtual time spent by this node's background machinery (e.g. ESSP
     /// broadcast propagation). Folded into epoch makespans.
@@ -69,17 +77,14 @@ impl NodeState {
 pub struct Shared {
     pub topology: Topology,
     pub keyspace: KeySpace,
-    pub technique: TechniqueMap,
     pub value_len: usize,
     pub relocation_enabled: bool,
     pub metrics: Arc<ClusterMetrics>,
     /// Latency histograms and the event journal (one bundle per process;
     /// see [`nups_sim::trace`]).
     pub obs: Arc<Observability>,
-    /// The node lane process-level journal events (sync rounds) are
-    /// attributed to: the deployed node in per-node mode, node 0 for the
-    /// in-process cluster-wide rendezvous.
-    pub journal_node: NodeId,
+    /// How this process maps onto the cluster.
+    pub deployment: Deployment,
     /// The execution backend: clocks, pricing, progress waits.
     pub runtime: Arc<dyn Runtime>,
     /// The message fabric every port is bound from.
@@ -88,10 +93,6 @@ pub struct Shared {
     pub sync: Arc<ReplicaSync>,
     /// The adaptive technique manager, when enabled by the configuration.
     pub adaptive: Option<AdaptiveManager>,
-    /// Present in per-node deployments with adaptation enabled: the
-    /// distributed epoch protocol's per-node state (see
-    /// [`crate::adaptive`]).
-    pub dist_adaptive: Option<DistAdaptive>,
     pub nodes: Vec<Arc<NodeState>>,
     /// Registered sampling distributions with the scheme the manager chose
     /// for each.
@@ -112,6 +113,18 @@ impl Shared {
     #[inline]
     pub fn value_bytes(&self) -> usize {
         4 + 4 * self.value_len
+    }
+
+    /// The node this process speaks for: the deployed node in per-node
+    /// mode, node 0 (the coordinator of the cluster-wide rendezvous)
+    /// in-process. Process-level journal events (sync rounds) are
+    /// attributed to it, and its technique map and replica set answer
+    /// evaluation reads.
+    pub fn local_node(&self) -> &NodeState {
+        match self.deployment {
+            Deployment::AllInProcess => &self.nodes[0],
+            Deployment::SingleNode(me) => &self.nodes[me.index()],
+        }
     }
 
     /// Record a peer's workload-completion announcement and wake the
@@ -167,7 +180,8 @@ impl Shared {
         // Journal the rendezvous as a span on this runtime's timeline; the
         // duration is the modelled one, so virtual-time traces stay
         // deterministic.
-        self.obs.span(at, d.as_nanos(), self.journal_node.0, actor::SYNC, "sync_round", 0, 0);
+        let node = self.local_node().node;
+        self.obs.span(at, d.as_nanos(), node.0, actor::SYNC, "sync_round", 0, 0);
         d
     }
 }

@@ -59,12 +59,12 @@ impl Slot {
 /// One node's set of replicas, indexed by dense replica slot.
 ///
 /// The slot vector grows when the adaptive technique manager promotes a key
-/// past the current capacity; freed slots are cleared in place and reused.
-/// In-process deployments grow only at synchronization rendezvous (workers
-/// parked); per-node deployments mutate slots from the server thread while
-/// workers run, which is what the per-slot tenancy keys are for. Server
-/// threads may also serve late-chasing operations concurrently, so the
-/// vector is behind an `RwLock` — an uncontended read on the hot path.
+/// past the current capacity; freed slots are sealed in place and reused.
+/// Slots change only on the node's server thread as it applies adaptation
+/// plans. In per-node deployments that happens while workers run, which is
+/// what the per-slot tenancy keys are for; server threads may also serve
+/// late-chasing operations concurrently, so the vector is behind an
+/// `RwLock` — an uncontended read on the hot path.
 pub struct ReplicaSet {
     slots: RwLock<Vec<Mutex<Slot>>>,
     clip_policy: ClipPolicy,
@@ -136,12 +136,11 @@ impl ReplicaSet {
     }
 
     /// Install `value` as `key`'s replica in `slot`, growing the set — with
-    /// empty hole slots if needed — when `slot` is beyond the current end.
-    /// (In-process promotion fills slots densely; per-node deployments can
-    /// complete promotions out of plan order, so a later slot may install
-    /// first.) Resets the update buffer: the installed value is the
-    /// authoritative post-migration state. `era` is the epoch of the plan
-    /// installing this tenancy (0 outside the distributed-adaptive path).
+    /// empty hole slots if needed — when `slot` is beyond the current end
+    /// (promotions of one plan can complete out of plan order, so a later
+    /// slot may install first). Resets the update buffer: the installed
+    /// value is the authoritative post-migration state. `era` is the epoch
+    /// of the plan installing this tenancy.
     pub fn install_slot(&self, slot: u32, key: Key, value: Vec<f32>, era: u64) {
         let mut slots = self.slots.write();
         let i = slot as usize;
@@ -155,19 +154,8 @@ impl ReplicaSet {
         }
     }
 
-    /// Clear a freed slot (demotion): zero value and buffer and evict the
-    /// tenant so a stale delta cannot leak into the slot's next occupant.
-    pub fn clear_slot(&self, slot: u32) {
-        let slots = self.slots.read();
-        let mut s = slots[slot as usize].lock();
-        s.key = None;
-        s.value.iter_mut().for_each(|x| *x = 0.0);
-        s.accum.iter_mut().for_each(|x| *x = 0.0);
-        s.dirty = false;
-    }
-
     /// Atomically end `key`'s tenancy of `slot` and take its final
-    /// `(value, accum)` (distributed demotion). The slot is left empty.
+    /// `(value, accum)` (demotion). The slot is left empty.
     /// `None` on a tenancy mismatch (the key was already evicted).
     pub fn seal_slot(&self, slot: u32, key: Key) -> Option<(Vec<f32>, Vec<f32>)> {
         let slots = self.slots.read();
@@ -180,13 +168,6 @@ impl ReplicaSet {
         let value = std::mem::take(&mut s.value);
         let accum = std::mem::take(&mut s.accum);
         Some((value, accum))
-    }
-
-    /// Snapshot `(value, accum)` of one slot (demotion collapse).
-    fn value_and_accum(&self, slot: u32) -> (Vec<f32>, Vec<f32>) {
-        let slots = self.slots.read();
-        let s = slots[slot as usize].lock();
-        (s.value.clone(), s.accum.clone())
     }
 
     /// Take the accumulated deltas of all dirty slots, resetting them.
@@ -250,8 +231,10 @@ impl ReplicaSet {
     }
 
     /// Unkeyed foreign-delta apply for the in-process all-reduce, where
-    /// slot assignments cannot shift mid-merge (every worker is parked at
-    /// the rendezvous and migrations run under the same gate).
+    /// slot assignments cannot shift mid-merge: every worker is parked at
+    /// the rendezvous, and the leader holds the gate until each plan it
+    /// issues has settled on every node, so no plan is mid-application
+    /// while the merge runs.
     fn apply_foreign_slot(&self, slot: u32, delta: &[f32]) {
         let slots = self.slots.read();
         let mut s = slots[slot as usize].lock();
@@ -431,51 +414,6 @@ impl ReplicaSync {
     pub fn sets(&self) -> &[std::sync::Arc<ReplicaSet>] {
         &self.sets
     }
-
-    /// Install `value` as `key`'s replica in `slot` on every node (key
-    /// promotion). Not priced here — the adaptive manager prices the
-    /// promote broadcast. In a per-node deployment `sets` holds only this
-    /// process's node, which is the whole cluster exactly when `n_nodes ==
-    /// 1` (larger clusters promote via the leader-plan protocol instead).
-    pub fn install_slot(&self, slot: u32, key: Key, value: &[f32]) {
-        // Hard assert: in release builds a rendezvous-path install in a
-        // multi-node per-node deployment would silently desync slot state
-        // across processes, and the call is cold.
-        assert!(
-            self.distributed.is_none() || self.topology.n_nodes == 1,
-            "multi-node per-node deployments migrate via AdaptPlan, not the rendezvous path"
-        );
-        for set in &self.sets {
-            // The rendezvous path never races a sync broadcast (workers
-            // and migrations are gated together), so eras stay at 0.
-            set.install_slot(slot, key, value.to_vec(), 0);
-        }
-    }
-
-    /// Collapse `slot` into the single authoritative value for demotion:
-    /// the synced common state plus *every* node's unsynced local deltas
-    /// (exactly the result a final all-reduce of the slot would produce).
-    /// Clears the slot on every node afterwards. Callers normally run this
-    /// right after [`ReplicaSync::sync_once`], where all buffers are empty
-    /// — the accumulation makes the collapse exact even if a late-chasing
-    /// server operation snuck a delta in between.
-    pub fn collapse_slot(&self, slot: u32) -> Vec<f32> {
-        assert!(
-            self.distributed.is_none() || self.topology.n_nodes == 1,
-            "multi-node per-node deployments migrate via AdaptPlan, not the rendezvous path"
-        );
-        let (mut value, own_accum) = self.sets[0].value_and_accum(slot);
-        // set 0's value already contains its own accum; add the others'.
-        for set in &self.sets[1..] {
-            let (_, accum) = set.value_and_accum(slot);
-            add_assign(&mut value, &accum);
-        }
-        let _ = own_accum; // value_0 = common + accum_0, already included
-        for set in &self.sets {
-            set.clear_slot(slot);
-        }
-        value
-    }
 }
 
 #[cfg(test)]
@@ -651,25 +589,34 @@ mod tests {
 
     #[test]
     fn install_and_collapse_slot_roundtrip() {
+        // The replica-side arithmetic of one promote/demote cycle as the
+        // server threads run it: the promotion installs slot 1 on every
+        // node; the demotion seals every node's copy, the home keeps its
+        // sealed value (which already holds its own unsynced deltas) and
+        // every other node ships its residue accumulator to the home.
         let topo = Topology::new(3, 1);
         let sets = make_sets(3, 1, 2);
         let sync = ReplicaSync::new(sets.clone(), topo, CostModel::zero(), 2);
         let metrics = ClusterMetrics::new(3);
-        // Promote installs a fresh slot 1 on every node.
-        sync.install_slot(1, 1, &[4.0, 4.0]);
         for s in &sets {
+            s.install_slot(1, 1, vec![4.0, 4.0], 1);
             assert_eq!(s.get(1), vec![4.0, 4.0]);
         }
         // Pushes on two nodes, one synced, one straggling after the sync.
         push(&sets[0], 1, &[1.0, 0.0]);
         push(&sets[2], 1, &[0.0, 1.0]);
         sync.sync_once(&metrics);
-        push(&sets[1], 1, &[0.5, 0.5]); // straggler between sync and collapse
-        let v = sync.collapse_slot(1);
-        assert_eq!(v, vec![5.5, 5.5], "collapse must fold unsynced stragglers in");
-        // Slot cleared everywhere; reuse by a later promotion starts clean.
+        push(&sets[1], 1, &[0.5, 0.5]); // straggler between sync and demotion
+        let (mut value, _) = sets[0].seal_slot(1, 1).expect("home holds the tenancy");
+        for s in &sets[1..] {
+            let (_, residue) = s.seal_slot(1, 1).expect("peer holds the tenancy");
+            add_assign(&mut value, &residue);
+        }
+        assert_eq!(value, vec![5.5, 5.5], "demotion must fold unsynced stragglers in");
+        // Tenancy ended everywhere; reuse by a later promotion starts clean.
+        let mut out = vec![0.0; 2];
         for s in &sets {
-            assert_eq!(s.get(1), vec![0.0, 0.0]);
+            assert!(!s.pull(1, 1, &mut out), "sealed slot still serves its old tenant");
         }
         assert_eq!(sync.sync_once(&metrics), SimDuration::ZERO, "no dirty state left behind");
     }

@@ -9,6 +9,8 @@
 
 use std::sync::Arc;
 
+use rustc_hash::FxHashSet;
+
 use nups_sim::codec::WireEncode;
 use nups_sim::time::SimTime;
 use nups_sim::topology::{Addr, NodeId};
@@ -46,12 +48,9 @@ impl Server {
     pub fn run(mut self) {
         while let Some(frame) = self.endpoint.recv() {
             let mut payload = frame.payload;
-            let msg = match Msg::decode(&mut payload) {
-                Ok(m) => m,
-                Err(e) => {
-                    debug_assert!(false, "undecodable frame at {}: {e}", self.state.node);
-                    continue;
-                }
+            let Ok(msg) = Msg::decode(&mut payload) else {
+                self.reject(frame.sent_at, "undecodable_frame", 0);
+                continue;
             };
             if !self.handle(msg, frame.sent_at) {
                 break;
@@ -104,7 +103,7 @@ impl Server {
             Msg::SyncFin { .. } => self.shared.note_sync_fin(),
             Msg::FinFence { .. } => self.shared.note_fin_fence(),
             Msg::SketchReport { from, total, row0, row1 } => {
-                self.handle_sketch_report(from, total, &row0, &row1)
+                self.handle_sketch_report(from, total, &row0, &row1, at)
             }
             Msg::AdaptPlan { epoch, promotions, demotions } => {
                 self.handle_adapt_plan(epoch, promotions, demotions, at)
@@ -118,11 +117,21 @@ impl Server {
             // folded at the home. Their acks land here.
             Msg::PushAck { .. } => self.handle_self_ack(at),
             Msg::Stop => return false,
-            other => {
-                debug_assert!(false, "unexpected message at relocation server: {other:?}");
-            }
+            _ => self.reject(at, "unexpected_message", 0),
         }
         true
+    }
+
+    /// Drop a frame no correct peer sends — malformed, out of range, or
+    /// contradicting this node's plan state — and count it. Remote input
+    /// must never take the server thread down.
+    fn reject(&self, at: SimTime, reason: &'static str, key: Key) {
+        self.shared.metrics.node(self.me()).inc(|m| &m.protocol_errors);
+        self.journal(at, reason, key, 0);
+    }
+
+    fn in_keyspace(&self, key: Key) -> bool {
+        key < self.shared.keyspace.n_keys()
     }
 
     /// Resolve where an operation on `key` should go when we do not own
@@ -135,14 +144,11 @@ impl Server {
     /// replica set. `None` when the key has since been demoted again (the
     /// caller re-routes via the home directory).
     ///
-    /// The slot lookup and the replica access are two acquisitions, which
-    /// is safe because assignments only mutate during an adaptation round,
-    /// and no pull/push can be in a server queue then: every pull/push is
-    /// worker-synchronous, so an outstanding one implies a worker blocked
-    /// on its reply — which would have prevented the rendezvous the round
-    /// runs under.
+    /// The slot lookup and the replica access are two acquisitions; the
+    /// keyed replica access re-checks the slot's tenant, so a migration in
+    /// between turns into a clean miss.
     fn replica_pull(&self, key: Key) -> Option<Vec<f32>> {
-        let slot = self.shared.technique.replica_slot(key)?;
+        let slot = self.state.technique.replica_slot(key)?;
         let mut value = vec![0.0; self.shared.value_len];
         if !self.state.replicas.pull(slot, key, &mut value) {
             // The slot is sealed or re-keyed: a demotion is mid-flight on
@@ -157,7 +163,7 @@ impl Server {
     /// Apply a late-chasing push for a migrated key to the local replica
     /// set (folded into the next synchronization — applied exactly once).
     fn replica_push(&self, key: Key, delta: &[f32]) -> bool {
-        let Some(slot) = self.shared.technique.replica_slot(key) else { return false };
+        let Some(slot) = self.state.technique.replica_slot(key) else { return false };
         if !self.state.replicas.push(slot, key, delta) {
             return false;
         }
@@ -334,7 +340,9 @@ impl Server {
         updates: Vec<KeyUpdate>,
         at: SimTime,
     ) {
-        debug_assert_ne!(from, self.me(), "a node must not receive its own sync broadcast");
+        if from == self.me() || from.0 >= self.shared.topology.n_nodes {
+            return self.reject(at, "bad_replica_deltas", 0);
+        }
         for u in updates {
             self.dispatch_replica_delta(epoch, u.key, u.delta, at);
         }
@@ -355,9 +363,11 @@ impl Server {
     /// * **Same era, install pending** (our promotion has not landed yet):
     ///   stash in `pending_deltas`; applied right after the install so our
     ///   base copy converges with the sender's.
-    /// * **Future era** (the installing plan has not applied here yet):
+    /// * **Next era** (the installing plan has not applied here yet):
     ///   hold in `early_deltas` and re-dispatch when the plan applies.
     ///   Dropping would lose the delta whenever we are the coordinator.
+    ///   The leader issues a plan only after every node acked the previous
+    ///   one, so no correct sender runs more than one plan ahead.
     /// * **Stale era** (the key's tenancy ended — and possibly restarted —
     ///   after the broadcast left the sender): the delta must not touch
     ///   the new era's replica; the demotion already sealed every copy it
@@ -372,41 +382,37 @@ impl Server {
     /// `acks_outstanding`, so finalize's drain barrier waits for them even
     /// when the fold chases a relocated key onto another node.
     fn dispatch_replica_delta(&mut self, stamp: u64, key: Key, delta: Vec<f32>, at: SimTime) {
-        let shared = Arc::clone(&self.shared);
-        if let Some(slot) = shared.technique.replica_slot(key) {
+        if !self.in_keyspace(key) {
+            return self.reject(at, "bad_replica_delta", key);
+        }
+        if let Some(slot) = self.state.technique.replica_slot(key) {
             if self.state.replicas.apply_foreign(slot, key, stamp, &delta) {
                 return;
             }
             // Era or tenancy mismatch: resolved below like any other miss.
         }
-        let Some(dist) = shared.dist_adaptive.as_ref() else {
-            // Static technique map: one era, slots never move, so the
-            // keyed apply can only miss if the broadcast itself is stale
-            // nonsense — conserve it at the home like any stray push.
-            if shared.keyspace.home(key) == self.me() {
-                self.handle_push(key, delta, Addr::server(self.me()), 0, at);
-            }
-            return;
-        };
         {
-            let mut st = dist.state();
-            if let Some(&(promote_epoch, _)) = st.pending_promote.get(&key) {
-                if stamp >= promote_epoch {
-                    debug_assert_eq!(
-                        stamp, promote_epoch,
-                        "a sender cannot be an era ahead of an unacked plan"
-                    );
+            let mut st = self.state.plan.lock();
+            match st.pending_promote.get(&key) {
+                Some(&(promote_epoch, _)) if stamp == promote_epoch => {
                     st.pending_deltas.entry(key).or_default().push(delta);
                     return;
                 }
                 // Stale era: fall through to home-or-drop.
-            } else if stamp > st.applied_epoch {
-                st.early_deltas.push((stamp, key, delta));
-                return;
+                Some(&(promote_epoch, _)) if stamp < promote_epoch => {}
+                None if stamp <= st.applied_epoch => {}
+                None if stamp == st.applied_epoch + 1 => {
+                    st.early_deltas.push((stamp, key, delta));
+                    return;
+                }
+                _ => {
+                    drop(st);
+                    return self.reject(at, "replica_delta_from_the_future", key);
+                }
             }
         }
-        if shared.keyspace.home(key) == self.me() {
-            dist.state().acks_outstanding += 1;
+        if self.shared.keyspace.home(key) == self.me() {
+            self.state.plan.lock().acks_outstanding += 1;
             self.handle_push(key, delta, Addr::server(self.me()), 0, at);
         }
     }
@@ -421,7 +427,7 @@ impl Server {
         // race a transfer it cannot see, stranding the value. The dropped
         // request's in-flight mark at the requester is cleaned up by the
         // promotion sweep.
-        if self.shared.technique.localize_blocked(key) {
+        if self.state.technique.localize_blocked(key) {
             return;
         }
         let owner = self.state.directory.owner(key);
@@ -465,7 +471,7 @@ impl Server {
         // resurrect store ownership: the promotion protocol settles every
         // relocation chain before taking the value, so this transfer can
         // only be a stale duplicate whose payload the replicas supersede.
-        if self.shared.technique.is_replicated(key) {
+        if self.state.technique.is_replicated(key) {
             return;
         }
         // Count before installing: install wakes workers blocked on the
@@ -495,17 +501,18 @@ impl Server {
     }
 
     // ------------------------------------------------------------------
-    // Distributed adaptive technique management (see `crate::adaptive`).
+    // Adaptive technique management (see `crate::adaptive`).
     //
-    // The leader broadcasts a versioned `AdaptPlan`; every node's server
-    // thread applies plans in epoch order. Demotions execute immediately
-    // (the replica slot is sealed, so late keyed accesses fail over to the
-    // home). Promotions run through the regular relocation machinery: the
-    // key's home fences it, acquires the value by chasing the ownership
-    // chain, installs the replica, and broadcasts `Promote`; peers install
-    // on receipt. A node acks the plan to the leader once nothing of it —
-    // pending installs, buffered messages, unacknowledged residues — is
-    // still in flight locally.
+    // The leader posts a versioned `AdaptPlan` to every node; each node's
+    // server thread applies plans in epoch order to its own technique map
+    // and replica set. Demotions execute immediately (the replica slot is
+    // sealed, so late keyed accesses fail over to the home). Promotions run
+    // through the regular relocation machinery: the key's home fences it,
+    // acquires the value by chasing the ownership chain, installs the
+    // replica, and broadcasts `Promote`; peers install on receipt. A node
+    // acks the plan to the leader once nothing of it — pending installs,
+    // buffered messages, unacknowledged residues — is still in flight
+    // locally.
     // ------------------------------------------------------------------
 
     /// A peer's count-min sketch window, folded into the leader's sketch.
@@ -515,13 +522,52 @@ impl Server {
         total: u64,
         row0: &[(u32, u64)],
         row1: &[(u32, u64)],
+        at: SimTime,
     ) {
-        debug_assert_eq!(self.me(), ADAPT_LEADER, "sketch report at non-leader");
-        debug_assert_ne!(from, self.me(), "the leader does not report to itself");
-        let _ = from;
-        if let Some(adaptive) = self.shared.adaptive.as_ref() {
-            adaptive.sketch().merge([row0, row1], total);
+        let valid =
+            self.me() == ADAPT_LEADER && from != self.me() && from.0 < self.shared.topology.n_nodes;
+        match self.shared.adaptive.as_ref() {
+            Some(adaptive) if valid => adaptive.sketch().merge([row0, row1], total),
+            _ => self.reject(at, "bad_sketch_report", 0),
         }
+    }
+
+    /// Check a plan against this node's state before applying any of it.
+    /// Only adaptive servers receive plans. Every node applies the same
+    /// plans in the same order and acks one only once it fully settled,
+    /// and the leader issues the next plan only after every ack — so a
+    /// correct plan is the next epoch, finds no promotion still pending,
+    /// demotes distinct replicated keys, promotes distinct relocated keys,
+    /// and assigns exactly the slots this node's own map would.
+    fn check_plan(
+        &self,
+        epoch: u64,
+        promotions: &[(Key, u32)],
+        demotions: &[Key],
+    ) -> Result<(), &'static str> {
+        if self.shared.adaptive.is_none() {
+            return Err("plan_without_adaptation");
+        }
+        {
+            let st = self.state.plan.lock();
+            if epoch != st.applied_epoch + 1 || !st.pending_promote.is_empty() {
+                return Err("plan_out_of_order");
+            }
+        }
+        let technique = &self.state.technique;
+        let mut seen = FxHashSet::default();
+        let mut fresh = |key: Key| self.in_keyspace(key) && seen.insert(key);
+        if !demotions.iter().all(|&k| fresh(k) && technique.is_replicated(k)) {
+            return Err("bad_plan_demotion");
+        }
+        let keys: Vec<Key> = promotions.iter().map(|&(k, _)| k).collect();
+        if !keys.iter().all(|&k| fresh(k) && !technique.is_replicated(k)) {
+            return Err("bad_plan_promotion");
+        }
+        if technique.plan_slots(demotions, &keys) != promotions {
+            return Err("bad_plan_slots");
+        }
+        Ok(())
     }
 
     /// One adaptation round's migration plan. Runs on every node
@@ -534,65 +580,34 @@ impl Server {
         demotions: Vec<Key>,
         at: SimTime,
     ) {
-        let shared = Arc::clone(&self.shared);
-        let Some(dist) = shared.dist_adaptive.as_ref() else {
-            debug_assert!(false, "adapt plan without distributed adaptive state");
-            return;
-        };
-        self.journal(at, "adapt_plan_apply", epoch, (promotions.len() + demotions.len()) as u64);
-        let mut demote_now = Vec::with_capacity(demotions.len());
-        {
-            let mut st = dist.state();
-            debug_assert_eq!(epoch, st.applied_epoch + 1, "plans must apply in issue order");
-            st.applied_epoch = epoch;
-            for &key in &demotions {
-                if st.pending_promote.contains_key(&key) {
-                    // The key's promotion (from an earlier plan) has not
-                    // landed here yet; the demotion applies when it does.
-                    st.deferred_demotes.insert(key);
-                } else {
-                    demote_now.push(key);
-                }
-            }
-            for &(key, slot) in &promotions {
-                let prev = st.pending_promote.insert(key, (epoch, slot));
-                debug_assert!(prev.is_none(), "key {key} promoted by two outstanding plans");
-            }
+        if let Err(reason) = self.check_plan(epoch, &promotions, &demotions) {
+            return self.reject(at, reason, epoch);
         }
-        for key in demote_now {
+        self.journal(at, "adapt_plan_apply", epoch, (promotions.len() + demotions.len()) as u64);
+        {
+            let mut st = self.state.plan.lock();
+            st.applied_epoch = epoch;
+            st.pending_promote.extend(promotions.iter().map(|&(key, slot)| (key, (epoch, slot))));
+        }
+        for key in demotions {
             self.apply_demotion(key, at);
         }
-        for &(key, _) in &promotions {
+        for (key, slot) in promotions {
             if self.shared.keyspace.home(key) == self.me() {
-                self.initiate_promotion(key, at);
+                self.initiate_promotion(key, epoch, slot, at);
             }
         }
         // A peer's `Promote` broadcast can overtake the leader's plan on
-        // the wire; admit any that were waiting for this plan.
-        let ready = {
-            let mut st = dist.state();
-            let (ready, rest): (Vec<_>, Vec<_>) =
-                std::mem::take(&mut st.buffered_promotes).into_iter().partition(|b| b.0 <= epoch);
-            st.buffered_promotes = rest;
-            ready
+        // the wire; admit any that were waiting for this plan. Likewise a
+        // peer's sync broadcast stamped with this epoch; re-route the held
+        // deltas now that the era they belong to is known here.
+        let (ready, held) = {
+            let mut st = self.state.plan.lock();
+            (std::mem::take(&mut st.buffered_promotes), std::mem::take(&mut st.early_deltas))
         };
-        for (_, key, slot, value) in ready {
-            self.admit_promote(key, slot, value, at);
+        for (key, epoch, slot, value) in ready {
+            self.admit_promote(key, epoch, slot, value, at);
         }
-        // Likewise a peer's sync broadcast stamped with this (or an
-        // earlier) epoch can overtake the plan; re-route the held deltas
-        // now that the era they belong to is known here. The leader never
-        // issues a plan before every node acked the previous one, so no
-        // held delta can be stamped beyond the plan just applied — the
-        // buffer always drains completely.
-        let held = {
-            let mut st = dist.state();
-            debug_assert!(
-                st.early_deltas.iter().all(|d| d.0 <= epoch),
-                "sync delta stamped past the newest issued plan"
-            );
-            std::mem::take(&mut st.early_deltas)
-        };
         for (stamp, key, delta) in held {
             self.dispatch_replica_delta(stamp, key, delta, at);
         }
@@ -600,36 +615,35 @@ impl Server {
         self.shared.runtime.notify_progress();
     }
 
-    /// Demote one key replicated → relocated, as instructed by a plan (or
-    /// deferred until the key's promotion landed). Seals the local replica
-    /// slot, installs the authoritative value at the home, and ships any
-    /// non-home residue accumulator there as an acknowledged push.
+    /// Demote one key replicated → relocated, as instructed by a checked
+    /// plan. Seals the local replica slot, installs the authoritative value
+    /// at the home, and ships any non-home residue accumulator there as an
+    /// acknowledged push.
     fn apply_demotion(&mut self, key: Key, at: SimTime) {
         self.journal(at, "demote", key, 0);
-        let shared = Arc::clone(&self.shared);
-        let slot = shared.technique.replica_slot(key).expect("demoted key has a slot");
-        let home = shared.keyspace.home(key);
-        let Some((value, accum)) = self.state.replicas.seal_slot(slot, key) else {
-            debug_assert!(false, "demotion of key {key} found slot {slot} not keyed to it");
-            return;
+        let home = self.shared.keyspace.home(key);
+        let sealed = self
+            .state
+            .technique
+            .replica_slot(key)
+            .and_then(|slot| self.state.replicas.seal_slot(slot, key));
+        let Some((value, accum)) = sealed else {
+            return self.reject(at, "demotion_without_replica", key);
         };
         if home == self.me() {
             // `push` writes the copy and the accumulator together, so the
             // sealed value already holds this node's unsynced deltas — the
             // accum must not be re-added. The peers' residues arrive as
             // acknowledged pushes below.
-            let _ = accum;
             self.state.store.install_demoted(key, value, at);
             self.state.directory.set_owner(key, home);
-            self.shared.technique.demote(key);
+            self.state.technique.demote(key);
             self.shared.metrics.node(self.me()).inc(|m| &m.demotions);
         } else {
             self.state.store.redirect_for_demote(key, home);
-            self.shared.technique.demote(key);
+            self.state.technique.demote(key);
             if accum.iter().any(|&x| x != 0.0) {
-                if let Some(dist) = shared.dist_adaptive.as_ref() {
-                    dist.state().acks_outstanding += 1;
-                }
+                self.state.plan.lock().acks_outstanding += 1;
                 let residue =
                     Msg::PushReq { key, delta: accum, reply_to: Addr::server(self.me()), hops: 0 };
                 self.send(Addr::server(home), at, &residue);
@@ -641,14 +655,13 @@ impl Server {
     /// Begin acquiring a key this node (the key's home) must promote:
     /// fence it against new relocations, then chase the ownership chain
     /// for the authoritative value.
-    fn initiate_promotion(&mut self, key: Key, at: SimTime) {
-        debug_assert_eq!(self.shared.keyspace.home(key), self.me(), "promotion runs at home");
+    fn initiate_promotion(&mut self, key: Key, epoch: u64, slot: u32, at: SimTime) {
         self.journal(at, "promote_start", key, 0);
-        self.shared.technique.fence_key(key);
+        self.state.technique.fence_key(key);
         let owner = self.state.directory.owner(key);
         if owner == self.me() {
             match self.state.store.begin_promote(key) {
-                PromoteTake::Taken(value) => self.complete_promotion(key, value, at),
+                PromoteTake::Taken(value) => self.complete_promotion(key, epoch, slot, value, at),
                 // A transfer toward us is in flight; its install retries.
                 PromoteTake::InFlight => {}
                 PromoteTake::NotHere(hint) => self.chase_promotion(key, hint, at),
@@ -675,15 +688,14 @@ impl Server {
     /// After an install at the key's home: if a plan is waiting on the
     /// key, this may be the hand-over that completes its acquisition.
     fn maybe_complete_promotion(&mut self, key: Key, at: SimTime) {
-        let shared = Arc::clone(&self.shared);
-        let Some(dist) = shared.dist_adaptive.as_ref() else { return };
-        if self.shared.keyspace.home(key) != self.me()
-            || !dist.state().pending_promote.contains_key(&key)
-        {
+        if self.shared.keyspace.home(key) != self.me() {
             return;
         }
+        let Some((epoch, slot)) = self.state.plan.lock().pending_promote.get(&key).copied() else {
+            return;
+        };
         match self.state.store.begin_promote(key) {
-            PromoteTake::Taken(value) => self.complete_promotion(key, value, at),
+            PromoteTake::Taken(value) => self.complete_promotion(key, epoch, slot, value, at),
             PromoteTake::InFlight => {} // another chain link; the next install retries
             // The install released the value onward to a localize that
             // raced the plan: keep chasing it.
@@ -692,29 +704,18 @@ impl Server {
     }
 
     /// The home holds the authoritative value: install the replica,
-    /// publish the slot, broadcast the value to every peer, and apply a
-    /// demotion a later plan deferred onto this promotion.
-    fn complete_promotion(&mut self, key: Key, value: Vec<f32>, at: SimTime) {
-        let shared = Arc::clone(&self.shared);
-        let dist = shared.dist_adaptive.as_ref().expect("promotion completes under a plan");
-        let (epoch, slot) = {
-            let st = dist.state();
-            *st.pending_promote.get(&key).expect("completed promotion was planned")
-        };
-        // Backing storage before the published assignment: a keyed access
-        // that sees the new route is then guaranteed an installed slot.
-        // The plan epoch becomes the slot's era: sync broadcasts of this
-        // tenancy are stamped with it cluster-wide.
-        self.state.replicas.install_slot(slot, key, value.clone(), epoch);
-        self.shared.technique.promote_to_slot(key, slot);
-        self.shared.technique.unfence_key(key);
+    /// publish the slot, and broadcast the value to every peer.
+    fn complete_promotion(
+        &mut self,
+        key: Key,
+        epoch: u64,
+        slot: u32,
+        value: Vec<f32>,
+        at: SimTime,
+    ) {
+        self.install_promotion(key, epoch, slot, value.clone(), at);
+        self.state.technique.unfence_key(key);
         self.journal(at, "promote_install", key, epoch);
-        let (deferred, stashed) = {
-            let mut st = dist.state();
-            st.pending_promote.remove(&key);
-            (st.deferred_demotes.remove(&key), st.pending_deltas.remove(&key))
-        };
-        debug_assert!(stashed.is_none(), "the home folds stray deltas, never stashes them");
         self.shared.metrics.node(self.me()).inc(|m| &m.promotions);
         let msg = Msg::Promote { key, epoch, slot, value };
         for node in self.shared.topology.nodes() {
@@ -722,78 +723,58 @@ impl Server {
                 self.send(Addr::server(node), at, &msg);
             }
         }
-        if deferred {
-            self.apply_demotion(key, at);
-        }
         self.maybe_plan_ack(at);
         self.shared.runtime.notify_progress();
     }
 
-    /// A peer's (or the home's) `Promote` broadcast: install the replica
-    /// locally, or buffer it until its plan arrives.
+    /// A home's `Promote` broadcast: install the replica locally, or buffer
+    /// it until its plan (the next one) arrives.
     fn handle_promote(&mut self, key: Key, epoch: u64, slot: u32, value: Vec<f32>, at: SimTime) {
-        let shared = Arc::clone(&self.shared);
-        let Some(dist) = shared.dist_adaptive.as_ref() else {
-            debug_assert!(false, "promote broadcast without distributed adaptive state");
-            return;
-        };
+        if !self.in_keyspace(key) {
+            return self.reject(at, "unplanned_promote", key);
+        }
         {
-            let mut st = dist.state();
-            if epoch > st.applied_epoch {
-                st.buffered_promotes.push((epoch, key, slot, value));
+            let mut st = self.state.plan.lock();
+            if epoch == st.applied_epoch + 1 {
+                st.buffered_promotes.push((key, epoch, slot, value));
                 return;
             }
         }
-        self.admit_promote(key, slot, value, at);
+        self.admit_promote(key, epoch, slot, value, at);
         self.maybe_plan_ack(at);
     }
 
-    /// Install an announced promotion whose plan has been applied here.
-    fn admit_promote(&mut self, key: Key, slot: u32, value: Vec<f32>, at: SimTime) {
-        let shared = Arc::clone(&self.shared);
-        let dist = shared.dist_adaptive.as_ref().expect("admitted promote without dist state");
-        let (plan_entry, deferred, stashed) = {
-            let mut st = dist.state();
-            (
-                st.pending_promote.remove(&key),
-                st.deferred_demotes.remove(&key),
-                st.pending_deltas.remove(&key).unwrap_or_default(),
-            )
-        };
-        let (plan_epoch, _) = plan_entry.expect("promote install for key without a plan entry");
-        if deferred {
-            // A later plan demoted this key before its promotion ever
-            // landed here. The route never flipped locally, so no local
-            // write targeted the replica: the residue is provably zero and
-            // the home's sealed value is authoritative. Skip the install;
-            // clean up relocation marks left by localize requests the
-            // home's fence dropped, forwarding anything parked on them to
-            // the home (whose directory the demotion reset).
-            let home = self.shared.keyspace.home(key);
-            let sweep = self.state.store.sweep_for_promote(key);
-            for op in sweep.waiters {
-                let fwd = match op {
-                    QueuedOp::Push { delta, reply_to, hops } => {
-                        Msg::PushReq { key, delta, reply_to, hops: hops.saturating_add(1) }
-                    }
-                    QueuedOp::Pull { reply_to, hops } => {
-                        Msg::PullReq { key, reply_to, hops: hops.saturating_add(1) }
-                    }
-                };
-                self.send(Addr::server(home), at, &fwd);
-            }
-            self.shared.runtime.notify_progress();
-            return;
+    /// Install an announced promotion whose plan has been applied here. A
+    /// correct announcement comes from the key's home and matches the
+    /// pending plan entry exactly.
+    fn admit_promote(&mut self, key: Key, epoch: u64, slot: u32, value: Vec<f32>, at: SimTime) {
+        let planned = self.state.plan.lock().pending_promote.get(&key) == Some(&(epoch, slot));
+        if !planned || self.shared.keyspace.home(key) == self.me() {
+            return self.reject(at, "unplanned_promote", key);
         }
-        self.journal(at, "promote_admit", key, plan_epoch);
-        self.state.replicas.install_slot(slot, key, value, plan_epoch);
+        self.journal(at, "promote_admit", key, epoch);
+        self.install_promotion(key, epoch, slot, value, at);
+    }
+
+    /// Install a promoted key's replica in its planned slot and publish the
+    /// route: storage before assignment, so a keyed access that sees the
+    /// new route is guaranteed an installed slot. The plan epoch becomes
+    /// the slot's era: sync broadcasts of this tenancy are stamped with it
+    /// cluster-wide. Stashed same-era sync deltas apply right after the
+    /// install, and operations parked on a stale in-flight mark (a localize
+    /// the home's fence dropped) are served from the fresh replica.
+    fn install_promotion(&mut self, key: Key, epoch: u64, slot: u32, value: Vec<f32>, at: SimTime) {
+        let stashed = {
+            let mut st = self.state.plan.lock();
+            st.pending_promote.remove(&key);
+            st.pending_deltas.remove(&key).unwrap_or_default()
+        };
+        self.state.replicas.install_slot(slot, key, value, epoch);
         for delta in stashed {
-            let ok = self.state.replicas.apply_foreign(slot, key, plan_epoch, &delta);
+            let ok = self.state.replicas.apply_foreign(slot, key, epoch, &delta);
             debug_assert!(ok, "stashed sync delta must apply right after its install");
         }
-        self.shared.technique.promote_to_slot(key, slot);
-        // Sweep the stale in-flight mark of any localize the home's fence
-        // dropped; parked operations are served from the fresh replica.
+        self.state.technique.promote_to_slot(key, slot);
         let sweep = self.state.store.sweep_for_promote(key);
         for op in sweep.waiters {
             match op {
@@ -819,10 +800,8 @@ impl Server {
     /// Send the leader a `PlanAck` once every applied plan fully settled
     /// here (idempotent; called from every path that could finish one).
     fn maybe_plan_ack(&mut self, at: SimTime) {
-        let shared = Arc::clone(&self.shared);
-        let Some(dist) = shared.dist_adaptive.as_ref() else { return };
         let epoch = {
-            let mut st = dist.state();
+            let mut st = self.state.plan.lock();
             if st.applied_epoch == 0 || st.applied_epoch <= st.last_acked || !st.settled() {
                 return;
             }
@@ -830,7 +809,7 @@ impl Server {
             st.applied_epoch
         };
         if self.me() == ADAPT_LEADER {
-            dist.note_ack(self.me(), epoch);
+            self.state.plan.lock().note_ack(self.me(), epoch);
         } else {
             self.send(Addr::server(ADAPT_LEADER), at, &Msg::PlanAck { from: self.me(), epoch });
         }
@@ -839,26 +818,28 @@ impl Server {
 
     /// Leader: a peer finished a plan.
     fn handle_plan_ack(&mut self, from: NodeId, epoch: u64, at: SimTime) {
-        debug_assert_eq!(self.me(), ADAPT_LEADER, "plan ack at non-leader");
-        self.journal(at, "plan_ack", from.0 as u64, epoch);
-        if let Some(dist) = self.shared.dist_adaptive.as_ref() {
-            dist.note_ack(from, epoch);
-            self.shared.runtime.notify_progress();
+        let valid = self.me() == ADAPT_LEADER
+            && from != self.me()
+            && from.0 < self.shared.topology.n_nodes
+            && epoch <= self.state.plan.lock().last_issued;
+        if !valid {
+            return self.reject(at, "bad_plan_ack", epoch);
         }
+        self.journal(at, "plan_ack", from.0 as u64, epoch);
+        self.state.plan.lock().note_ack(from, epoch);
+        self.shared.runtime.notify_progress();
     }
 
     /// A `PushAck` for a push this server itself issued (demotion residue
     /// or home-folded stray delta): one less outstanding acknowledgement.
     fn handle_self_ack(&mut self, at: SimTime) {
-        let shared = Arc::clone(&self.shared);
-        let Some(dist) = shared.dist_adaptive.as_ref() else {
-            debug_assert!(false, "push ack at a server without distributed adaptive state");
-            return;
-        };
         {
-            let mut st = dist.state();
-            debug_assert!(st.acks_outstanding > 0, "unsolicited push ack at server port");
-            st.acks_outstanding = st.acks_outstanding.saturating_sub(1);
+            let mut st = self.state.plan.lock();
+            if st.acks_outstanding == 0 {
+                drop(st);
+                return self.reject(at, "unsolicited_push_ack", 0);
+            }
+            st.acks_outstanding -= 1;
         }
         self.maybe_plan_ack(at);
         self.shared.runtime.notify_progress();

@@ -164,10 +164,8 @@ pub struct PromoteSweep {
     /// A stale in-flight mark was removed (its localize request was — or
     /// will be — dropped by the home server's migration guard).
     pub removed_inflight: bool,
-    /// Operations that were parked on the removed entry, in arrival order.
-    /// Empty in every reachable schedule (a queued remote op implies a
-    /// worker blocked on the reply, which cannot have reached the
-    /// rendezvous); the promoter folds them into the value anyway.
+    /// Operations that were parked on the removed entry, in arrival order;
+    /// the installing server serves them from the fresh replica.
     pub waiters: Vec<QueuedOp>,
 }
 
@@ -244,8 +242,8 @@ impl Store {
             }
             Some(Entry::InFlightIn { expected_at, .. }) => LocalAccess::InFlight(*expected_at),
             Some(Entry::ForwardedTo(n)) => LocalAccess::Remote(Some(*n)),
-            // Unreachable from workers (technique flips happen only while
-            // every worker is parked); routes via home defensively.
+            // A worker that read the route just before a promotion
+            // published it; routes via home, which serves from its replica.
             Some(Entry::Promoted) => LocalAccess::Remote(None),
             None => LocalAccess::Remote(None),
         }
@@ -475,11 +473,10 @@ impl Store {
         }
     }
 
-    /// Promotion take: convert local ownership into a `Promoted` tombstone
-    /// and hand the authoritative value to the adaptive manager. Runs at a
-    /// synchronization rendezvous; a racing relocation reports `InFlight`
-    /// or `NotHere` and the promoter retries after re-reading the home
-    /// directory.
+    /// Promotion take at the key's home: convert local ownership into a
+    /// `Promoted` tombstone and hand over the authoritative value to
+    /// install as the replica. A racing relocation reports `InFlight` (the
+    /// install retries) or `NotHere` (the home chases the tombstones).
     pub fn begin_promote(&self, key: Key) -> PromoteTake {
         let mut map = self.shard(key).map.lock();
         match map.get_mut(&key) {
@@ -499,12 +496,12 @@ impl Store {
         }
     }
 
-    /// Post-take sweep on every non-owning node: remove a stale in-flight
-    /// mark whose localize request the home server's migration guard
-    /// dropped (or will drop) — left in place it would later read as a
-    /// transfer that never arrives and block a worker forever. Any parked
-    /// operations are returned so the promoter can serve them from the
-    /// taken value, exactly once.
+    /// Post-install sweep on every node: remove a stale in-flight mark
+    /// whose localize request the home server's migration guard dropped
+    /// (or will drop) — left in place it would later read as a transfer
+    /// that never arrives and block a worker forever. Any parked operations
+    /// are returned so the server can serve them from the installed
+    /// replica, exactly once.
     pub fn sweep_for_promote(&self, key: Key) -> PromoteSweep {
         let shard = self.shard(key);
         let mut map = shard.map.lock();
@@ -522,8 +519,8 @@ impl Store {
         out
     }
 
-    /// Demotion install at the elected owner: force local ownership with
-    /// the collapsed replica value, replacing a `Promoted` tombstone (or
+    /// Demotion install at the elected owner (the key's home): force local
+    /// ownership with the sealed replica value, replacing a `Promoted` tombstone (or
     /// creating the entry for a key that was replicated from the start).
     pub fn install_demoted(&self, key: Key, value: Vec<f32>, available_at: SimTime) {
         let shard = self.shard(key);

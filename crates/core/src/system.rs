@@ -12,7 +12,7 @@ use nups_sim::topology::{Addr, NodeId, WorkerId};
 use nups_sim::trace::{actor, Observability};
 use nups_sim::WireEncode;
 
-use crate::adaptive::{AdaptiveManager, DistAdaptive};
+use crate::adaptive::{AdaptiveManager, PlanProgress};
 use crate::api::PsWorker;
 use crate::config::NupsConfig;
 use crate::key::{Key, KeySpace};
@@ -75,7 +75,6 @@ pub enum FinalizeOutcome {
 pub struct ParameterServer {
     shared: Arc<Shared>,
     config: NupsConfig,
-    deployment: Deployment,
     servers: Vec<JoinHandle<()>>,
 }
 
@@ -103,9 +102,9 @@ impl ParameterServer {
     ///
     /// Single-node deployments require the wall-clock backend (virtual
     /// time is a per-process construct). Adaptive technique management
-    /// runs as a distributed leader-driven epoch protocol (see
-    /// [`crate::adaptive`]): node 0 scores from merged sketch reports and
-    /// broadcasts versioned migration plans over the fabric.
+    /// runs the same leader-driven epoch protocol as in-process clusters
+    /// (see [`crate::adaptive`]): node 0 scores from merged sketch reports
+    /// and posts versioned migration plans over the fabric.
     /// `obs` is the process-wide observability bundle; a TCP-fabric
     /// process passes the same instance the fabric records its queue-wait
     /// and flush histograms into, so one flight record covers both layers.
@@ -127,14 +126,18 @@ impl ParameterServer {
             );
         }
         let keyspace = KeySpace::new(config.n_keys, topo.n_nodes);
-        let technique = TechniqueMap::from_replicated_keys(config.n_keys, &config.replicated_keys);
+        // Every node derives the same starting assignment; adaptation plans
+        // then keep the per-node maps in lockstep.
+        let technique =
+            || TechniqueMap::from_replicated_keys(config.n_keys, &config.replicated_keys);
+        let initial = technique();
 
         let runtime =
             build_runtime(config.backend, config.cost, Arc::new(ClusterClocks::new(topo)));
 
         // Identical initial replica values on every node.
         let mut scratch = vec![0.0f32; config.value_len];
-        let replica_init: Vec<(Key, Vec<f32>)> = technique
+        let replica_init: Vec<(Key, Vec<f32>)> = initial
             .replicated_keys()
             .iter()
             .map(|&k| {
@@ -153,7 +156,7 @@ impl ParameterServer {
             // of silently serving a stale local copy.
             if deployment.is_local(node) {
                 for key in range.clone() {
-                    if technique.technique(key) == Technique::Relocated {
+                    if initial.technique(key) == Technique::Relocated {
                         scratch.iter_mut().for_each(|x| *x = 0.0);
                         init(key, &mut scratch);
                         store.seed(key, scratch.clone());
@@ -164,6 +167,8 @@ impl ParameterServer {
                 node,
                 store,
                 directory: Directory::new(range, node),
+                technique: technique(),
+                plan: parking_lot::Mutex::new(PlanProgress::new(topo.n_nodes)),
                 replicas: Arc::new(ReplicaSet::new(&replica_init, config.clip)),
                 background_busy: std::sync::atomic::AtomicU64::new(0),
             }));
@@ -187,37 +192,22 @@ impl ParameterServer {
         });
         // The gate must also run for adaptive servers that start with no
         // replicated keys: the rendezvous is where adaptation happens.
-        let gate_enabled = technique.n_replicated() > 0 || config.adaptive.is_some();
+        let gate_enabled = initial.n_replicated() > 0 || config.adaptive.is_some();
         let gate = Arc::new(SyncGate::new(config.sync_period, gate_enabled));
-        let adaptive = config.adaptive.clone().map(AdaptiveManager::new);
-        // Multi-node per-node deployments migrate through the distributed
-        // epoch protocol; a single-node "cluster" can keep the in-process
-        // path (its gate parks every worker that exists).
-        let dist_adaptive = match deployment {
-            Deployment::SingleNode(me) if adaptive.is_some() && topo.n_nodes > 1 => {
-                Some(DistAdaptive::new(me, topo.n_nodes))
-            }
-            _ => None,
-        };
 
         let shared = Arc::new(Shared {
             topology: topo,
             keyspace,
-            technique,
             value_len: config.value_len,
             relocation_enabled: config.relocation_enabled,
             metrics,
             obs,
-            journal_node: match deployment {
-                Deployment::AllInProcess => NodeId(0),
-                Deployment::SingleNode(me) => me,
-            },
+            deployment,
             runtime,
             fabric,
             gate,
             sync,
-            adaptive,
-            dist_adaptive,
+            adaptive: config.adaptive.clone().map(AdaptiveManager::new),
             nodes,
             dists: parking_lot::Mutex::new(Vec::new()),
             sync_fins: std::sync::atomic::AtomicU64::new(0),
@@ -241,7 +231,7 @@ impl ParameterServer {
             })
             .collect();
 
-        ParameterServer { shared, config, deployment, servers }
+        ParameterServer { shared, config, servers }
     }
 
     /// Register a sampling distribution (Section 4.3's
@@ -281,7 +271,7 @@ impl ParameterServer {
         assert!(id.node.0 < self.config.topology.n_nodes);
         assert!(id.local < self.config.topology.workers_per_node);
         assert!(
-            self.deployment.is_local(id.node),
+            self.shared.deployment.is_local(id.node),
             "worker {id} belongs to a node hosted by another process"
         );
         let endpoint = self.shared.fabric.bind(Addr::worker(id.node, id.local));
@@ -299,19 +289,19 @@ impl ParameterServer {
         self.config
             .topology
             .workers()
-            .filter(|w| self.deployment.is_local(w.node))
+            .filter(|w| self.shared.deployment.is_local(w.node))
             .map(|w| self.worker(w))
             .collect()
     }
 
     /// How this process maps onto the cluster.
     pub fn deployment(&self) -> Deployment {
-        self.deployment
+        self.shared.deployment
     }
 
     /// Force one replica synchronization (epoch boundaries / evaluation).
     pub fn flush_replicas(&self) {
-        if self.shared.technique.n_replicated() > 0 {
+        if self.shared.local_node().technique.n_replicated() > 0 {
             let _ = self.shared.sync.sync_once(&self.shared.metrics);
         }
     }
@@ -321,12 +311,13 @@ impl ParameterServer {
     /// installs it (the install wakes us; no spin-sleep backoff).
     pub fn read_value(&self, key: Key) -> Vec<f32> {
         assert_eq!(
-            self.deployment,
+            self.shared.deployment,
             Deployment::AllInProcess,
             "read_value needs every store in-process; per-node deployments assemble \
              the model with finalize_distributed"
         );
-        if let Some(slot) = self.shared.technique.replica_slot(key) {
+        let technique = &self.shared.local_node().technique;
+        if let Some(slot) = technique.replica_slot(key) {
             return self.shared.sync.sets()[0].get(slot);
         }
         let mut found: Option<Vec<f32>> = None;
@@ -334,7 +325,7 @@ impl ParameterServer {
             // The technique may flip while we wait: an adaptation round can
             // promote the key mid-relocation, leaving every store with a
             // tombstone and the value in the replica sets.
-            if let Some(slot) = self.shared.technique.replica_slot(key) {
+            if let Some(slot) = technique.replica_slot(key) {
                 found = Some(self.shared.sync.sets()[0].get(slot));
                 return true;
             }
@@ -352,7 +343,7 @@ impl ParameterServer {
     /// Snapshot every key's value (evaluation; not priced).
     pub fn read_all(&self) -> Vec<Vec<f32>> {
         assert_eq!(
-            self.deployment,
+            self.shared.deployment,
             Deployment::AllInProcess,
             "read_all needs every store in-process; per-node deployments assemble \
              the model with finalize_distributed"
@@ -360,7 +351,7 @@ impl ParameterServer {
         let n = self.config.n_keys;
         let mut out: Vec<Option<Vec<f32>>> = vec![None; n as usize];
         // Replicated keys from node 0 (all replicas equal after a flush).
-        for (slot, key) in self.shared.technique.slot_entries() {
+        for (slot, key) in self.shared.local_node().technique.slot_entries() {
             out[key as usize] = Some(self.shared.sync.sets()[0].get(slot));
         }
         // Owned keys per node.
@@ -399,14 +390,11 @@ impl ParameterServer {
         self.shared.gate.stats()
     }
 
-    pub fn technique_map(&self) -> &TechniqueMap {
-        &self.shared.technique
-    }
-
-    /// The technique-assignment epoch (bumps once per adaptation round
-    /// that migrated at least one key; 0 on static servers).
+    /// The technique-assignment epoch: the last adaptation plan this
+    /// process's node applied (one per round that migrated at least one
+    /// key; 0 on static servers).
     pub fn technique_epoch(&self) -> u64 {
-        self.shared.technique.epoch()
+        self.shared.local_node().plan.lock().applied_epoch
     }
 
     /// The adaptive technique manager, when enabled.
@@ -476,7 +464,7 @@ impl ParameterServer {
     ///    parts, checks every key is covered, and returns
     ///    [`FinalizeOutcome::Model`].
     pub fn finalize_distributed(&self, timeout: std::time::Duration) -> FinalizeOutcome {
-        let Deployment::SingleNode(me) = self.deployment else {
+        let Deployment::SingleNode(me) = self.shared.deployment else {
             panic!("finalize_distributed requires a single-node deployment");
         };
         let topo = self.config.topology;
@@ -484,7 +472,7 @@ impl ParameterServer {
         let store = &self.shared.nodes[me.index()].store;
         let ctl_addr = Addr { node: me, port: topo.sync_port() };
         let ctl = self.shared.fabric.bind(ctl_addr);
-        let adaptive = self.shared.dist_adaptive.as_ref();
+        let adaptive = self.shared.adaptive.as_ref().map(|_| &self.shared.nodes[me.index()].plan);
         let n_peers = topo.n_nodes as u64 - 1;
 
         // Every stage spends from the same deadline: the caller's budget
@@ -525,13 +513,13 @@ impl ParameterServer {
         if me != coordinator {
             self.post_ctl(ctl_addr, Addr::server(coordinator), &Msg::SyncFin { from: me });
             mark("sync_fin_sent", 1);
-            if let Some(dist) = adaptive {
+            if let Some(plan) = adaptive {
                 // 2. Drain: every peer's broadcasts folded here, and every
                 // fold or residue we forwarded to another node's store
                 // acknowledged back. Only then may the coordinator release
                 // the snapshots.
                 if !self.shared.runtime.wait_until(remaining(deadline), &mut || {
-                    self.shared.fin_fences() >= n_peers && dist.state().settled()
+                    self.shared.fin_fences() >= n_peers && plan.lock().settled()
                 }) {
                     return fail("peer drain (fences + settled migration state)");
                 }
@@ -554,7 +542,7 @@ impl ParameterServer {
                 }
             };
             mark("release_recv", released_epoch);
-            if let Some(dist) = adaptive {
+            if let Some(plan) = adaptive {
                 // Catch up to the released plan, then push any deltas a
                 // migration fallback stranded in the replica accumulators
                 // since the first flush; the third fin fences them ahead
@@ -562,7 +550,7 @@ impl ParameterServer {
                 if !self
                     .shared
                     .runtime
-                    .wait_until(remaining(deadline), &mut || dist.quiesced(released_epoch))
+                    .wait_until(remaining(deadline), &mut || plan.lock().quiesced(released_epoch))
                 {
                     return fail("catch-up to released plan epoch");
                 }
@@ -580,13 +568,13 @@ impl ParameterServer {
         // adaptation, on the drained fins, every peer's fence toward us,
         // our own settled state, and cluster-wide plan quiescence.
         let released_epoch = match adaptive {
-            Some(dist) => {
-                let epoch = dist.last_issued();
+            Some(plan) => {
+                let epoch = plan.lock().last_issued;
                 if !self.shared.runtime.wait_until(remaining(deadline), &mut || {
                     self.shared.sync_fins() >= 2 * n_peers
                         && self.shared.fin_fences() >= n_peers
-                        && dist.quiesced(epoch)
-                        && dist.all_acked(epoch)
+                        && plan.lock().quiesced(epoch)
+                        && plan.lock().all_acked(epoch)
                 }) {
                     return fail("coordinator barrier (fins + fences + plan quiescence)");
                 }
@@ -642,7 +630,7 @@ impl ParameterServer {
         mark("model_parts_recv", n_peers);
         let n = self.config.n_keys as usize;
         let mut out: Vec<Option<Vec<f32>>> = vec![None; n];
-        for (slot, key) in self.shared.technique.slot_entries() {
+        for (slot, key) in self.shared.local_node().technique.slot_entries() {
             out[key as usize] = Some(self.shared.sync.sets()[0].get(slot));
         }
         for u in self.local_model_part().into_iter().chain(parts.into_iter().flatten()) {
@@ -659,10 +647,7 @@ impl ParameterServer {
     /// This node's share of the final model: one `(key, value)` entry per
     /// relocation-managed key its store owns, in key order.
     fn local_model_part(&self) -> Vec<KeyUpdate> {
-        let Deployment::SingleNode(me) = self.deployment else {
-            panic!("local_model_part requires a single-node deployment");
-        };
-        let store = &self.shared.nodes[me.index()].store;
+        let store = &self.shared.local_node().store;
         let mut keys = store.local_keys();
         keys.sort_unstable();
         keys.into_iter()
@@ -688,7 +673,7 @@ impl ParameterServer {
         if self.servers.is_empty() {
             return;
         }
-        for node in self.config.topology.nodes().filter(|n| self.deployment.is_local(*n)) {
+        for node in self.config.topology.nodes().filter(|n| self.shared.deployment.is_local(*n)) {
             self.shared.fabric.post(Frame {
                 src: Addr::server(node),
                 dst: Addr::server(node),
@@ -702,7 +687,7 @@ impl ParameterServer {
         // Per-node deployments own their fabric: tear the connections down
         // so peer readers unblock (the in-process fabric's default is a
         // no-op).
-        if self.deployment != Deployment::AllInProcess {
+        if self.shared.deployment != Deployment::AllInProcess {
             self.shared.fabric.shutdown();
         }
     }
@@ -714,20 +699,24 @@ impl Drop for ParameterServer {
     }
 }
 
-/// Run one epoch: spawn a thread per worker, call `body(worker_index,
-/// worker)` inside the epoch bracket, and join. The bracket registers each
-/// worker with the replica-sync gate so time-based synchronization can
-/// rendezvous.
+/// Run one epoch: register every worker with the replica-sync gate, then
+/// spawn a thread per worker, call `body(worker_index, worker)` on it, and
+/// join. Registering all workers *before* any thread starts matters: a
+/// worker that started first could otherwise cross a sync boundary and
+/// merge alone before its peers joined the gate, making the merge schedule
+/// depend on thread start-up order.
 pub fn run_epoch<W, F>(workers: &mut [W], body: F)
 where
     W: PsWorker,
     F: Fn(usize, &mut W) + Sync,
 {
+    for w in workers.iter_mut() {
+        w.begin_epoch();
+    }
     std::thread::scope(|s| {
         for (i, w) in workers.iter_mut().enumerate() {
             let body = &body;
             s.spawn(move || {
-                w.begin_epoch();
                 body(i, w);
                 w.end_epoch();
             });

@@ -1,5 +1,5 @@
-//! Per-key management-technique assignment (Section 3.2), now
-//! epoch-versioned and adaptive.
+//! Per-key management-technique assignment (Section 3.2), adaptive at
+//! run time.
 //!
 //! NuPS manages each key with one of two techniques: *replication* for hot
 //! spots, *relocation* for the long tail. The paper decides the assignment
@@ -7,14 +7,16 @@
 //! run time. This implementation keeps that mode (construct and never
 //! mutate) but additionally supports **live migration**: the adaptive
 //! technique manager ([`crate::adaptive`]) promotes keys to replication and
-//! demotes them back while the system runs. Mutations happen only at
-//! synchronization rendezvous points — every worker is parked at the gate —
-//! so the hot-path read is an uncontended `RwLock` read (one reader-count
-//! atomic per access via [`TechniqueMap::route`]; a deliberate, measured
-//! step down from the old plain array read, paid even by static servers,
-//! in exchange for safe live mutation) and each mutation batch bumps a
-//! single `epoch` counter that observers can use to detect assignment
-//! changes.
+//! demotes them back while the system runs.
+//!
+//! Every node owns its own map. Mutations happen only on that node's server
+//! thread, as it applies a leader-issued [`crate::messages::Msg::AdaptPlan`]:
+//! demotions free their slots in plan order, promotions install into the
+//! slot the leader assigned with [`TechniqueMap::plan_slots`]. Every node
+//! applies the same plans in the same order, so once a plan has settled
+//! everywhere all maps agree slot for slot. The hot-path read is an
+//! uncontended `RwLock` read (one reader-count atomic per access via
+//! [`TechniqueMap::route`]).
 //!
 //! Replica slots are allocated from a free list so a demoted key's slot is
 //! reused by a later promotion instead of growing the replica sets without
@@ -22,7 +24,6 @@
 
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::key::Key;
 
@@ -60,12 +61,9 @@ struct TechInner {
     free_slots: Vec<u32>,
 }
 
-/// Epoch-versioned key → technique table, plus a dense index for
-/// replicated keys.
+/// Key → technique table, plus a dense index for replicated keys.
 pub struct TechniqueMap {
     inner: RwLock<TechInner>,
-    /// Bumped once per adaptation round that changed any assignment.
-    epoch: AtomicU64,
     /// Keys mid-promotion: the home server must not start new relocations
     /// for them (a relocation racing the promotion take would strand the
     /// parameter value in a `Transfer` nobody installs).
@@ -105,7 +103,6 @@ impl TechniqueMap {
                 slot_keys,
                 free_slots: Vec::new(),
             }),
-            epoch: AtomicU64::new(0),
             migrating: Mutex::new(FxHashSet::default()),
         }
     }
@@ -176,62 +173,13 @@ impl TechniqueMap {
         self.inner.read().techniques.len() as u64
     }
 
-    /// The assignment epoch: bumped once per adaptation round that migrated
-    /// at least one key. A stable epoch across two reads guarantees no
-    /// assignment changed in between.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// The slot the next [`TechniqueMap::promote`] will assign (topmost
-    /// freed slot, else one past the end). Only the single-threaded
-    /// migration coordinator allocates, so peek-then-promote is stable;
-    /// it lets the caller install the replica value *before* publishing
-    /// the slot, so no reader can ever observe a published slot that is
-    /// not yet backed by storage.
-    pub(crate) fn next_slot(&self) -> u32 {
-        let inner = self.inner.read();
-        match inner.free_slots.last() {
-            Some(&s) => s,
-            None => inner.slot_keys.len() as u32,
-        }
-    }
-
-    /// Flip `key` to replication, allocating a replica slot (reusing a
-    /// freed one when available). Returns the slot. Caller must install
-    /// the key's value into every node's replica set *before* calling
-    /// this (see [`TechniqueMap::next_slot`]).
-    pub(crate) fn promote(&self, key: Key) -> u32 {
-        let mut inner = self.inner.write();
-        assert_eq!(
-            inner.techniques[key as usize],
-            Technique::Relocated as u8,
-            "promote of already-replicated key {key}"
-        );
-        let slot = match inner.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                inner.slot_keys.push(None);
-                (inner.slot_keys.len() - 1) as u32
-            }
-        };
-        inner.slot_keys[slot as usize] = Some(key);
-        inner.replica_slot[key as usize] = slot;
-        inner.techniques[key as usize] = Technique::Replicated as u8;
-        slot
-    }
-
-    /// Flip `key` to replication in the *leader-assigned* slot (per-node
-    /// deployments, where every node installs the slot a
-    /// [`crate::messages::Msg::AdaptPlan`] dictates instead of allocating
-    /// locally). Removes the slot from the free list if it is there, or
-    /// grows the slot table — with free holes — up to it; promotions of one
-    /// plan can complete out of order, so the slot is not necessarily this
-    /// node's own `next_slot`.
+    /// Flip `key` to replication in the *leader-assigned* slot (every node
+    /// installs the slot a [`crate::messages::Msg::AdaptPlan`] dictates
+    /// instead of allocating locally). Removes the slot from the free list
+    /// if it is there, or grows the slot table — with free holes — up to
+    /// it; promotions of one plan can complete out of order, so the slot is
+    /// not necessarily the next one [`TechniqueMap::plan_slots`] would
+    /// hand out. Callers validate the slot against the plan first.
     pub(crate) fn promote_to_slot(&self, key: Key, slot: u32) {
         let mut inner = self.inner.write();
         assert_eq!(
@@ -281,8 +229,8 @@ impl TechniqueMap {
     }
 
     /// Flip `key` back to relocation, freeing its replica slot. Returns the
-    /// freed slot. Caller must have collapsed the replicas into a single
-    /// owned store entry first.
+    /// freed slot. Caller must have sealed the node's replica of the key
+    /// first.
     pub(crate) fn demote(&self, key: Key) -> u32 {
         let mut inner = self.inner.write();
         let slot = inner.replica_slot[key as usize];
@@ -294,20 +242,9 @@ impl TechniqueMap {
         slot
     }
 
-    /// Mark `keys` as mid-promotion (blocks new relocations at the home
-    /// server until [`TechniqueMap::end_migrations`]).
-    pub(crate) fn begin_migrations(&self, keys: &[Key]) {
-        self.migrating.lock().extend(keys.iter().copied());
-    }
-
-    pub(crate) fn end_migrations(&self) {
-        self.migrating.lock().clear();
-    }
-
-    /// Per-key migration fence (per-node deployments, where promotions
-    /// complete asynchronously and one at a time rather than under a
-    /// single rendezvous): block new relocations of `key` until
-    /// [`TechniqueMap::unfence_key`].
+    /// Per-key migration fence (promotions complete asynchronously, one
+    /// key at a time, on the key's home server): block new relocations of
+    /// `key` until [`TechniqueMap::unfence_key`].
     pub(crate) fn fence_key(&self, key: Key) {
         self.migrating.lock().insert(key);
     }
@@ -388,9 +325,9 @@ mod tests {
     #[test]
     fn promote_and_demote_flip_assignment_and_reuse_slots() {
         let tm = TechniqueMap::from_replicated_keys(10, &[3, 4]);
-        assert_eq!(tm.epoch(), 0);
-        let s = tm.promote(7);
-        assert_eq!(s, 2, "fresh slot appended");
+        let plan = tm.plan_slots(&[], &[7]);
+        assert_eq!(plan, vec![(7, 2)], "fresh slot appended");
+        tm.promote_to_slot(7, 2);
         assert!(tm.is_replicated(7));
         assert_eq!(tm.replica_slot(7), Some(2));
 
@@ -402,10 +339,9 @@ mod tests {
         assert_eq!(tm.replicated_keys(), vec![4, 7], "slot order, hole skipped");
 
         // Next promotion reuses the freed slot.
-        assert_eq!(tm.promote(9), 0);
+        assert_eq!(tm.plan_slots(&[], &[9]), vec![(9, 0)]);
+        tm.promote_to_slot(9, 0);
         assert_eq!(tm.slot_entries(), vec![(0, 9), (1, 4), (2, 7)]);
-        tm.bump_epoch();
-        assert_eq!(tm.epoch(), 1);
     }
 
     #[test]
@@ -413,12 +349,18 @@ mod tests {
         let tm = TechniqueMap::from_replicated_keys(10, &[1]);
         assert!(tm.localize_blocked(1), "replicated keys never relocate");
         assert!(!tm.localize_blocked(5));
-        tm.begin_migrations(&[5, 6]);
+        tm.fence_key(5);
+        tm.fence_key(6);
         assert!(tm.localize_blocked(5));
         assert!(tm.localize_blocked(6));
         assert!(!tm.localize_blocked(7));
-        tm.end_migrations();
-        assert!(!tm.localize_blocked(5));
+        // A completed promotion lifts its own fence; the key stays blocked
+        // as a replicated key.
+        tm.promote_to_slot(5, 1);
+        tm.unfence_key(5);
+        assert!(tm.localize_blocked(5));
+        tm.unfence_key(6);
+        assert!(!tm.localize_blocked(6));
     }
 
     #[test]
@@ -432,7 +374,7 @@ mod tests {
         // skipped slots become free holes a later completion fills.
         tm.promote_to_slot(8, 4);
         assert_eq!(tm.replica_slot(8), Some(4));
-        assert_eq!(tm.next_slot(), 3, "hole slots are free for reuse");
+        assert_eq!(tm.plan_slots(&[], &[9]), vec![(9, 3)], "hole slots are free for reuse");
         tm.promote_to_slot(9, 3);
         tm.promote_to_slot(5, 2);
         assert_eq!(tm.slot_entries(), vec![(0, 7), (1, 4), (2, 5), (3, 9), (4, 8)]);
@@ -468,7 +410,7 @@ mod tests {
     #[should_panic(expected = "promote of already-replicated")]
     fn double_promote_panics() {
         let tm = TechniqueMap::from_replicated_keys(4, &[1]);
-        tm.promote(1);
+        tm.promote_to_slot(1, 1);
     }
 
     #[test]

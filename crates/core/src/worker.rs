@@ -1,8 +1,9 @@
 //! The NuPS worker: multi-technique access paths plus the sampling manager
 //! front-end.
 //!
-//! A worker resolves each access with one technique check (a lock-free
-//! array read) followed by a single latch acquisition (Section 3.2):
+//! A worker resolves each access with one technique check (an uncontended
+//! read of its own node's technique map) followed by a single latch
+//! acquisition (Section 3.2):
 //!
 //! * replicated key → the node's replica set, through shared memory;
 //! * relocated key, owned locally → the store, through shared memory;
@@ -306,7 +307,7 @@ impl NupsWorker {
 
     /// Whether a sampled key can be served without the network right now.
     fn locally_available(&self, key: Key) -> bool {
-        match self.shared.technique.technique(key) {
+        match self.node.technique.technique(key) {
             Technique::Replicated => true,
             Technique::Relocated => self.node.store.is_local(key),
         }
@@ -370,7 +371,7 @@ impl NupsWorker {
             let slot = &mut out[i * vl..(i + 1) * vl];
             self.shared.record_access(key);
             loop {
-                match self.shared.technique.route(key) {
+                match self.node.technique.route(key) {
                     KeyRoute::Replicated(r) => {
                         if self.pull_replicated(r, key, slot) {
                             break;
@@ -479,7 +480,7 @@ impl NupsWorker {
             let delta = &deltas[i * vl..(i + 1) * vl];
             self.shared.record_access(key);
             loop {
-                match self.shared.technique.route(key) {
+                match self.node.technique.route(key) {
                     KeyRoute::Replicated(r) => {
                         if self.push_replicated(r, key, delta) {
                             break;
@@ -587,7 +588,7 @@ impl PsWorker for NupsWorker {
         let wall = std::time::Instant::now();
         self.shared.record_access(key);
         loop {
-            match self.shared.technique.route(key) {
+            match self.node.technique.route(key) {
                 KeyRoute::Replicated(slot) => {
                     if self.pull_replicated(slot, key, out) {
                         break;
@@ -610,7 +611,7 @@ impl PsWorker for NupsWorker {
         let wall = std::time::Instant::now();
         self.shared.record_access(key);
         loop {
-            match self.shared.technique.route(key) {
+            match self.node.technique.route(key) {
                 KeyRoute::Replicated(slot) => {
                     if self.push_replicated(slot, key, delta) {
                         break;
@@ -662,7 +663,7 @@ impl PsWorker for NupsWorker {
         // already local or in flight are no-ops (as in Lapse).
         let mut groups: Vec<(NodeId, Vec<Key>)> = Vec::new();
         for &key in keys {
-            if self.shared.technique.is_replicated(key) {
+            if self.node.technique.is_replicated(key) {
                 continue;
             }
             let expected = self.relocation_estimate();

@@ -6,16 +6,18 @@
 //! TCP (the socket transport has its own suite in `nups-net`).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nups_core::adaptive::AdaptiveConfig;
-use nups_core::runtime::{Backend, Fabric, SimFabric};
+use nups_core::messages::{KeyUpdate, Msg};
+use nups_core::runtime::{Backend, Fabric, RecvOutcome, SimFabric};
 use nups_core::system::{run_epoch, FinalizeOutcome};
 use nups_core::{Deployment, NupsConfig, ParameterServer, PsWorker};
-use nups_sim::metrics::ClusterMetrics;
-use nups_sim::net::Network;
-use nups_sim::time::SimDuration;
-use nups_sim::topology::{NodeId, Topology};
+use nups_sim::codec::WireEncode;
+use nups_sim::metrics::{ClusterMetrics, MetricsSnapshot};
+use nups_sim::net::{Frame, Network};
+use nups_sim::time::{SimDuration, SimTime};
+use nups_sim::topology::{Addr, NodeId, Topology};
 use nups_sim::trace::Observability;
 
 const N_KEYS: u64 = 48;
@@ -96,13 +98,21 @@ fn drive_dispatch(w: &mut impl PsWorker, global: u64, adaptive: bool) {
     }
 }
 
+/// What a per-node run reports: the coordinator's final model (as bit
+/// patterns) and technique epoch, plus the cluster's counters.
+struct PerNodeRun {
+    model: Vec<Vec<u32>>,
+    epoch: u64,
+    metrics: MetricsSnapshot,
+}
+
 /// One shared channel fabric, one `SingleNode` server per node — the
 /// multi-process topology inside one test process.
 fn run_per_node_with(
     topology: Topology,
     cfg_for: fn(Topology) -> NupsConfig,
     adaptive: bool,
-) -> Vec<Vec<u32>> {
+) -> PerNodeRun {
     let metrics = Arc::new(ClusterMetrics::new(topology.n_nodes as usize));
     let network = Network::new(topology, Arc::clone(&metrics));
     let fabric: Arc<dyn Fabric> = Arc::new(SimFabric::new(network));
@@ -130,31 +140,35 @@ fn run_per_node_with(
             });
             drop(workers);
             let outcome = ps.finalize_distributed(Duration::from_secs(30));
+            let epoch = ps.technique_epoch();
             ps.shutdown();
-            (node, outcome)
+            (node, outcome, epoch)
         }));
     }
     let mut model = None;
+    let mut epoch = 0;
     for h in handles {
-        let (node, outcome) = h.join().expect("node thread");
+        let (node, outcome, node_epoch) = h.join().expect("node thread");
         match outcome {
             FinalizeOutcome::Model(m) => {
                 assert_eq!(node, NodeId(0));
                 model = Some(m);
+                epoch = node_epoch;
             }
             FinalizeOutcome::Released => assert_ne!(node, NodeId(0)),
             FinalizeOutcome::TimedOut => panic!("node {node} timed out"),
         }
     }
-    model
+    let model = model
         .expect("coordinator model")
         .into_iter()
         .map(|v| v.into_iter().map(f32::to_bits).collect())
-        .collect()
+        .collect();
+    PerNodeRun { model, epoch, metrics: metrics.total() }
 }
 
 fn run_per_node(topology: Topology) -> Vec<Vec<u32>> {
-    run_per_node_with(topology, cfg, false)
+    run_per_node_with(topology, cfg, false).model
 }
 
 fn run_in_process_with(
@@ -196,10 +210,16 @@ fn adaptive_per_node_deployment_matches_in_process_bit_for_bit() {
     // models must still agree bit for bit.
     for topology in [Topology::new(2, 2), Topology::new(3, 2)] {
         let expected = run_in_process_with(topology, adaptive_cfg, true);
-        let got = run_per_node_with(topology, adaptive_cfg, true);
+        let run = run_per_node_with(topology, adaptive_cfg, true);
+        let got = run.model;
         assert_eq!(got.len(), expected.len());
         let diverged = expected.iter().zip(&got).filter(|(a, b)| a != b).count();
         assert_eq!(diverged, 0, "adaptive per-node deployment diverged on {topology:?}");
+        // The plan path is the only migration path, so its counters must
+        // move in per-node deployments too.
+        assert!(run.epoch > 0, "no plan applied on {topology:?}");
+        let m = run.metrics;
+        assert!(m.migration_msgs > 0 && m.migration_bytes > 0, "plans unpriced on {topology:?}");
     }
 }
 
@@ -232,7 +252,7 @@ fn adaptive_per_node_survives_migration_churn() {
     let topology = Topology::new(3, 2);
     let expected = run_in_process_with(topology, churn_cfg, true);
     for round in 0..4 {
-        let got = run_per_node_with(topology, churn_cfg, true);
+        let got = run_per_node_with(topology, churn_cfg, true).model;
         assert_eq!(got.len(), expected.len());
         let diverged = expected.iter().zip(&got).filter(|(a, b)| a != b).count();
         assert_eq!(diverged, 0, "round {round}: migration churn diverged on {topology:?}");
@@ -268,4 +288,72 @@ fn single_node_cluster_finalizes_alone() {
     let got = run_per_node(topology);
     let expected = run_in_process(topology);
     assert_eq!(got, expected);
+}
+
+#[test]
+fn hostile_frames_are_counted_and_dropped() {
+    // Frames no correct peer sends, posted straight to a per-node server:
+    // each must be dropped and counted, and the server must keep serving.
+    let topology = Topology::new(2, 1);
+    let metrics = Arc::new(ClusterMetrics::new(2));
+    let network = Network::new(topology, Arc::clone(&metrics));
+    let fabric: Arc<dyn Fabric> = Arc::new(SimFabric::new(network));
+    let ps = ParameterServer::deploy(
+        adaptive_cfg(topology).with_backend(Backend::WallClock),
+        Arc::clone(&fabric),
+        Arc::clone(&metrics),
+        Arc::new(Observability::new()),
+        Deployment::SingleNode(NodeId(0)),
+        init,
+    );
+    let peer = Addr::server(NodeId(1));
+    let post = |payload: bytes::Bytes| {
+        fabric.post(Frame {
+            src: peer,
+            dst: Addr::server(NodeId(0)),
+            sent_at: SimTime::ZERO,
+            payload,
+        })
+    };
+    let hostile = [
+        // A promote announcement no plan asked for.
+        Msg::Promote { key: 5, epoch: 0, slot: 1, value: vec![0.0; VALUE_LEN] },
+        // Plans demoting a relocated key, naming a key outside the key
+        // space, and assigning a slot far past anything the map would.
+        Msg::AdaptPlan { epoch: 1, promotions: vec![], demotions: vec![3] },
+        Msg::AdaptPlan { epoch: 1, promotions: vec![(N_KEYS + 5, 1)], demotions: vec![] },
+        Msg::AdaptPlan { epoch: 1, promotions: vec![(4, 1 << 30)], demotions: vec![] },
+        // A promote for a key outside the key space, for the next plan.
+        Msg::Promote { key: N_KEYS, epoch: 1, slot: 1, value: vec![0.0; VALUE_LEN] },
+        // A sync delta outside the key space, an ack from a node that
+        // does not exist, and an ack for a push this server never issued.
+        Msg::ReplicaDeltas {
+            from: NodeId(1),
+            epoch: 0,
+            updates: vec![KeyUpdate { key: N_KEYS + 1, delta: vec![1.0; VALUE_LEN] }],
+        },
+        Msg::PlanAck { from: NodeId(9), epoch: 0 },
+        Msg::PushAck { key: 1, hops: 1 },
+    ];
+    for msg in &hostile {
+        post(msg.to_bytes());
+    }
+    post(bytes::Bytes::from_static(b"\xff not a frame"));
+
+    // Same link, so the pull queues behind every hostile frame.
+    let reply_to = Addr::worker(NodeId(1), 0);
+    let port = fabric.bind(reply_to);
+    post(Msg::PullReq { key: 1, reply_to, hops: 1 }.to_bytes());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let RecvOutcome::Frame(frame) = port.recv_deadline(deadline) else {
+        panic!("server stopped serving after hostile frames");
+    };
+    let mut payload = frame.payload;
+    match Msg::decode(&mut payload) {
+        Ok(Msg::PullResp { key: 1, value, .. }) => assert_eq!(value, vec![1.0; VALUE_LEN]),
+        other => panic!("expected the pull's response, got {other:?}"),
+    }
+    assert_eq!(ps.metrics().protocol_errors, hostile.len() as u64 + 1);
+    assert_eq!(ps.technique_epoch(), 0, "no hostile plan may apply");
+    ps.shutdown();
 }

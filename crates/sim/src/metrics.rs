@@ -135,16 +135,20 @@ metrics! {
     /// Keys migrated replicated → relocated by the adaptive manager.
     demotions,
     /// Adaptation scoring rounds executed (every `adapt_every`-th merge,
-    /// whether or not anything migrated; the technique-map epoch bumps
-    /// only for rounds that migrated at least one key).
+    /// whether or not anything migrated; the adaptation plan epoch
+    /// advances only for rounds that migrated at least one key).
     adaptation_rounds,
-    /// Migration protocol messages priced by the adaptive manager
-    /// (promote broadcasts + demote notices; executed in-process at the
-    /// rendezvous, priced as wire messages like replica synchronization).
+    /// Migration protocol messages priced by the adaptation leader for
+    /// every plan it issues (promote broadcasts + demote notices, priced as
+    /// wire messages like replica synchronization).
     migration_msgs,
     /// Bytes the priced migration messages would have carried, framing
     /// included.
     migration_bytes,
+    /// Frames a server dropped because no correct peer sends them:
+    /// undecodable, out of the key space, or contradicting the node's
+    /// adaptation plan state.
+    protocol_errors,
     /// Coalesced socket flushes issued by TCP fabric writer threads (one
     /// per queue drain; each flush carries a whole batch of frames in a
     /// single `write_all` or `writev`).

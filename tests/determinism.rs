@@ -4,12 +4,16 @@
 //! same virtual makespan — regardless of how the real-time race between
 //! worker threads and server threads plays out.
 
+use std::time::Duration;
+
+use nups::core::sampling::{DistId, SampleHandle};
+use nups::core::syncgate::SyncStats;
 use nups::core::system::run_epoch;
 use nups::core::{
-    DistributionKind, NupsConfig, ParameterServer, PsWorker, ReuseParams, SamplingScheme,
+    DistributionKind, Key, NupsConfig, ParameterServer, PsWorker, ReuseParams, SamplingScheme,
 };
 use nups::sim::metrics::MetricsSnapshot;
-use nups::sim::time::SimTime;
+use nups::sim::time::{SimDuration, SimTime};
 use nups::sim::topology::{NodeId, Topology, WorkerId};
 
 /// One full run of a seeded two-node workload exercising relocation,
@@ -104,4 +108,93 @@ fn multi_worker_totals_are_exact_across_runs() {
         model
     };
     assert_eq!(run(), run(), "per-key push totals must not depend on interleaving");
+}
+
+/// A worker whose epoch registration starts late — the stand-in for a
+/// worker thread the OS schedules after its peers.
+struct LateStart<W> {
+    inner: W,
+    delay: Option<Duration>,
+}
+
+impl<W: PsWorker> PsWorker for LateStart<W> {
+    fn value_len(&self) -> usize {
+        self.inner.value_len()
+    }
+    fn pull(&mut self, key: Key, out: &mut [f32]) {
+        self.inner.pull(key, out)
+    }
+    fn push(&mut self, key: Key, delta: &[f32]) {
+        self.inner.push(key, delta)
+    }
+    fn localize(&mut self, keys: &[Key]) {
+        self.inner.localize(keys)
+    }
+    fn advance_clock(&mut self) {
+        self.inner.advance_clock()
+    }
+    fn charge_compute(&mut self, flops: u64) {
+        self.inner.charge_compute(flops)
+    }
+    fn prepare_sample(&mut self, dist: DistId, n: usize) -> SampleHandle {
+        self.inner.prepare_sample(dist, n)
+    }
+    fn pull_sample(&mut self, handle: &mut SampleHandle, n: usize) -> Vec<(Key, Vec<f32>)> {
+        self.inner.pull_sample(handle, n)
+    }
+    fn begin_epoch(&mut self) {
+        if let Some(d) = self.delay {
+            std::thread::sleep(d);
+        }
+        self.inner.begin_epoch()
+    }
+    fn end_epoch(&mut self) {
+        self.inner.end_epoch()
+    }
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+}
+
+/// Two workers on two nodes share replicated key 0 under a 100 µs sync
+/// period: 400 pull/push steps of 10 µs compute each. Worker 1 may
+/// register for the epoch `late`.
+fn gated_run(late: Option<Duration>) -> (SimTime, SyncStats, MetricsSnapshot) {
+    let topo = Topology::new(2, 1);
+    let cfg = NupsConfig::nups(topo, 16, 2)
+        .with_replicated_keys(vec![0])
+        .with_sync_period(SimDuration::from_micros(100));
+    let flops_per_step = (10e-6 / cfg.cost.seconds_per_flop).round() as u64;
+    let ps = ParameterServer::new(cfg, |k, v| v.fill(k as f32));
+    let mut workers: Vec<_> = ps
+        .workers()
+        .into_iter()
+        .enumerate()
+        .map(|(i, inner)| LateStart { inner, delay: late.filter(|_| i == 1) })
+        .collect();
+    run_epoch(&mut workers, |_, w| {
+        let mut out = [0.0f32; 2];
+        for _ in 0..400 {
+            w.pull(0, &mut out);
+            w.push(0, &[1.0, 1.0]);
+            w.charge_compute(flops_per_step);
+        }
+    });
+    drop(workers);
+    let out = (ps.virtual_time(), ps.sync_stats(), ps.metrics());
+    ps.shutdown();
+    out
+}
+
+/// Every worker joins the sync gate before any of them runs: a worker
+/// whose thread starts first must not cross a boundary and merge alone.
+#[test]
+fn late_worker_start_does_not_change_the_merge_schedule() {
+    let (t, stats, m) = gated_run(None);
+    let (t_late, stats_late, m_late) = gated_run(Some(Duration::from_millis(50)));
+    assert_eq!(t, t_late, "virtual makespan depends on thread start order");
+    assert_eq!(stats, stats_late, "sync schedule depends on thread start order");
+    let render = |m: &MetricsSnapshot| format!("{m:#?}");
+    assert_eq!(render(&m), render(&m_late), "metrics depend on thread start order");
+    assert!(stats.syncs_done > 20, "workload too short to cross sync boundaries: {stats:?} {t:?}");
 }
